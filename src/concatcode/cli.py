@@ -11,6 +11,7 @@ the default seed.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -22,7 +23,7 @@ from .channel import (
     StokesChannel,
     parse_channel_literal,
 )
-from .codingmap import c_constants, diagonal_map
+from .codingmap import diagonal_map
 from .dynamics import (
     RaySpec,
     fixed_point_cross_check,
@@ -32,10 +33,9 @@ from .dynamics import (
     jacobian_fd_full,
     threshold,
 )
-from .oracle import MAX_DENSE_QUBITS, max_oracle_deviation
+from .oracle import max_oracle_deviation
 from .stabilizer import (
     CapabilityError,
-    CodeSpecError,
     StabilizerCode,
     builtin_names,
     get_code,
@@ -274,11 +274,6 @@ def _cmd_jacobian(args) -> int:
 
 def _cmd_oracle(args) -> int:
     code = _resolve_code(args.code)
-    if code.n > MAX_DENSE_QUBITS:
-        raise CapabilityError(
-            f"the dense oracle is limited to n <= {MAX_DENSE_QUBITS} qubits; "
-            f"{code.name or args.code} has n = {code.n}"
-        )
     deviation = max_oracle_deviation(code, trials=args.trials, seed=args.seed)
     passed = deviation <= ORACLE_TOLERANCE
     payload = {
@@ -296,13 +291,12 @@ def _cmd_oracle(args) -> int:
 def _cmd_bound(args) -> int:
     code = _resolve_code(args.code)
     bound = general_bound_check(code, seed=args.seed)
-    constants = c_constants(code, seed=args.seed)
     payload = {
         "code": code.name or args.code,
         "c_n": bound.c_n,
         "c_m": bound.c_m,
         "c_m_source": bound.c_m_source,
-        "c_m_grid": constants.c_m,
+        "c_m_grid": bound.c_m_grid,
         "bound": bound.value,
         "bounds_guaranteed": bound.bounds_guaranteed,
     }
@@ -313,8 +307,30 @@ def _cmd_bound(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line on stderr, exit code 2
+        self.exit(2, f"error: {message}\n")
+
+
+def _checked(kind, valid: str, test):
+    """An argparse type: `kind(text)`, rejected unless `test` holds."""
+
+    def parse(text: str):
+        if not test(value := kind(text)):
+            raise argparse.ArgumentTypeError(f"must be {valid}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_LEVELS = _checked(int, "at least 0", lambda v: v >= 0)
+_AT_LEAST_ONE = _checked(int, "at least 1", lambda v: v >= 1)
+_TOLERANCE = _checked(float, "positive and finite", lambda v: 0 < v < math.inf)
+
+
 def _build_parser(default_seed: int) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="concatcode",
         description="Effective single-qubit channels under concatenated stabilizer coding.",
     )
@@ -332,7 +348,7 @@ def _build_parser(default_seed: int) -> argparse.ArgumentParser:
     p.add_argument("code")
     p.add_argument("--symbolic", action="store_true", help="emit the exact polynomials")
     p.add_argument("--channel", default=None, help="channel literal to iterate")
-    p.add_argument("--levels", type=int, default=1, help="number of coding levels")
+    p.add_argument("--levels", type=_LEVELS, default=1, help="number of coding levels")
     p.add_argument("--tol", type=float, default=0.0, help="stop early below this distance")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     add_common(p)
@@ -340,7 +356,7 @@ def _build_parser(default_seed: int) -> argparse.ArgumentParser:
     p = sub.add_parser("orbit", help="iterate a channel and export the orbit")
     p.add_argument("code")
     p.add_argument("--channel", required=True)
-    p.add_argument("--levels", type=int, default=60)
+    p.add_argument("--levels", type=_LEVELS, default=60)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--format", choices=["json", "csv"], default="csv")
     add_common(p)
@@ -348,9 +364,9 @@ def _build_parser(default_seed: int) -> argparse.ArgumentParser:
     p = sub.add_parser("threshold", help="largest converging noise strength along a ray")
     p.add_argument("code")
     p.add_argument("--ray", required=True, help="depol, deph or ray:<dx>,<dy>,<dz>")
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--tol-conv", dest="tol_conv", type=float, default=1e-9)
-    p.add_argument("--k-max", dest="k_max", type=int, default=60)
+    p.add_argument("--tol", type=_TOLERANCE, default=1e-6)
+    p.add_argument("--tol-conv", dest="tol_conv", type=_TOLERANCE, default=1e-9)
+    p.add_argument("--k-max", dest="k_max", type=_AT_LEAST_ONE, default=60)
     add_common(p)
 
     p = sub.add_parser("jacobian", help="finite-difference Jacobian at a channel")
@@ -363,7 +379,7 @@ def _build_parser(default_seed: int) -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="dense-simulation cross-check of the algebraic map")
     p.add_argument("action", choices=["check"])
     p.add_argument("code")
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_AT_LEAST_ONE, default=20)
     p.add_argument("--seed", type=int, default=default_seed)
     add_common(p)
 
@@ -398,10 +414,7 @@ def main(argv=None) -> int:
         parser.error("codes validate needs a code argument")
     try:
         return _HANDLERS[args.command](args)
-    except (CodeSpecError, CapabilityError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CapabilityError, ValueError, OSError) as exc:  # spec errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

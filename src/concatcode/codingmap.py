@@ -4,9 +4,11 @@ One coding level wraps product noise T^(x)n between encoding and
 syndrome recovery plus decoding; on the level of Stokes matrices this is
 a polynomial map of degree n.  Two forms are provided:
 
-* `general_map` evaluates the full 4x4 image numerically (an exact
-  rational variant exists for small codes), driven by the decoding
-  coefficient tables of the code;
+* `compiled_map` holds every entry of the full 4x4 image as merged
+  monomials in the 16 input entries, with exact integer numerators over
+  2^m.  It is built once per code instance, from the decoding
+  coefficient tables; `general_map` evaluates it in floating point at
+  O(n) per monomial, `general_map_exact` in exact rationals;
 * `diagonal_map` returns the exact multivariate polynomials of the three
   diagonal components, with rational coefficients whose denominators
   divide 2^m.  Diagonal inputs stay diagonal, so these polynomials fully
@@ -15,15 +17,16 @@ a polynomial map of degree n.  Two forms are provided:
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .channel import DiagonalChannel, StokesChannel
-from .stabilizer import SIGMAS, StabilizerCode
+from .stabilizer import SIGMAS, CapabilityError, StabilizerCode, per_code
 
 COMPONENTS = ("X", "Y", "Z")
 
@@ -127,7 +130,7 @@ class DiagonalMapPolynomial:
         }
 
 
-@lru_cache(maxsize=None)
+@per_code
 def diagonal_map(code: StabilizerCode) -> DiagonalMapPolynomial:
     """Exact diagonal-component polynomials of one coding level.
 
@@ -162,80 +165,87 @@ def apply_diagonal(poly: DiagonalMapPolynomial, t: DiagonalChannel) -> DiagonalC
     return poly.apply(t)
 
 
-class _NumericTables(NamedTuple):
-    letters: dict[str, np.ndarray]  # per sigma: (2^m, n) indices into I,X,Y,Z
-    alpha: dict[str, np.ndarray]  # per sigma: (2^m,) signs
-    beta: dict[str, np.ndarray]  # per sigma: (2^m,) floats
+@dataclass(frozen=True)
+class CompiledMap:
+    """The full 4x4 coding map as merged exact monomials.
+
+    Monomial k adds numerators[k] / 2^m * prod_q T[factors[q, k]] to output
+    entry[k] = 4 s + t, where T is the input Stokes matrix in row-major
+    order and factor q is the letter pair on qubit q of one stabilizer pair
+    that the monomial merges.  Monomials are distinct within an entry, and
+    no numerator is 0.
+    """
+
+    m: int
+    entry: np.ndarray  # (K,)
+    factors: np.ndarray  # (n, K)
+    numerators: np.ndarray  # (K,) integers
 
 
-_LETTER_INDEX = {"I": 0, "X": 1, "Y": 2, "Z": 3}
-
-
-@lru_cache(maxsize=None)
-def _numeric_tables(code: StabilizerCode) -> _NumericTables:
-    letters: dict[str, np.ndarray] = {}
-    alpha: dict[str, np.ndarray] = {}
-    beta: dict[str, np.ndarray] = {}
+@per_code
+def compiled_map(code: StabilizerCode) -> CompiledMap:
+    """Entry (s, t) of the image sums beta[s]_j * alpha[t]_i over all
+    stabilizer pairs, times the product of input entries along the letter
+    patterns of |S_j s_bar| and |S_i t_bar|.  That product depends only on
+    how often each (row letter, column letter) pair occurs, so pairs with
+    equal 16-count vectors merge exactly.
+    """
+    n, size, base = code.n, 1 << code.m, code.n + 1
+    if base**16 > np.iinfo(np.int64).max:
+        raise CapabilityError(f"the compiled coding map is limited to n <= 14, code has n = {n}")
+    letters, alpha, weight = {}, {}, {}
     for sigma in SIGMAS:
         table = code.coefficient_table(sigma)
-        letters[sigma] = np.array(
-            [[_LETTER_INDEX[c] for c in p.letters] for p, _, _ in table], dtype=np.intp
-        )
-        alpha[sigma] = np.array([a for _, a, _ in table], dtype=float)
-        beta[sigma] = np.array([float(b) for _, _, b in table], dtype=float)
-    return _NumericTables(letters, alpha, beta)
+        masks = np.array([[p.x_mask, p.z_mask] for p, _, _ in table]).T
+        x, z = masks[:, :, None] >> np.arange(n) & 1
+        letters[sigma] = (x ^ z) + 2 * z  # I, X, Y, Z = 0, 1, 2, 3
+        alpha[sigma] = np.array([a for _, a, _ in table])
+        weight[sigma] = np.array([b.numerator * size // b.denominator for _, _, b in table])
+    step = max(1, 4096 // size)  # rows per block of about 4096 pairs merged at once
+    entries, factors, numerators = [], [], []
+    for (r, s), (c, t) in itertools.product(enumerate(SIGMAS), repeat=2):
+        live = np.flatnonzero(weight[s])
+        acc_keys, acc_pairs, acc_nums = np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
+        for rows in np.split(live, range(step, len(live), step)):
+            # count vectors as int64 keys: digit 4 a + b (radix n+1) counts letters (a, b)
+            block_keys = (base ** (4 * letters[s][rows]) @ base ** letters[t].T).ravel()
+            block_pairs = (size * rows[:, None] + np.arange(size)).ravel()
+            block_nums = np.outer(weight[s][rows], alpha[t]).ravel()
+            acc_keys, first, inverse = np.unique(
+                np.concatenate([acc_keys, block_keys]), return_index=True, return_inverse=True
+            )
+            acc_pairs = np.concatenate([acc_pairs, block_pairs])[first]
+            acc_nums = np.bincount(inverse, weights=np.concatenate([acc_nums, block_nums]))
+        j, i = np.divmod(acc_pairs[acc_nums != 0], size)
+        factors.append(4 * letters[s][j] + letters[t][i])
+        numerators.append(acc_nums[acc_nums != 0])
+        entries.append(np.full(len(j), 4 * r + c))
+    numerators = np.concatenate(numerators).astype(np.int64)
+    factors = np.concatenate(factors).T.copy()
+    return CompiledMap(code.m, np.concatenate(entries), factors, numerators)
 
 
 def general_map(code: StabilizerCode, channel: StokesChannel) -> StokesChannel:
-    """Image of an arbitrary superoperator under one coding level.
-
-    Entry (s, t) sums beta[s]_j * alpha[t]_i over all stabilizer pairs,
-    weighted by the product of input entries along the letter patterns of
-    |S_j s_bar| and |S_i t_bar|; cost is O(4^m n) per entry.
-    """
-    m = channel.matrix
-    tables = _numeric_tables(code)
-    out = np.empty((4, 4))
-    for r, s in enumerate(SIGMAS):
-        rows, beta = tables.letters[s], tables.beta[s]
-        for c, t in enumerate(SIGMAS):
-            cols, alpha = tables.letters[t], tables.alpha[t]
-            prod = np.ones((rows.shape[0], cols.shape[0]))
-            for k in range(code.n):
-                prod *= m[rows[:, k][:, None], cols[:, k][None, :]]
-            out[r, c] = beta @ prod @ alpha
-    return StokesChannel(out)
+    """Image of an arbitrary superoperator under one coding level: one
+    gather-and-product pass over the compiled monomials."""
+    compiled = compiled_map(code)
+    terms = channel.matrix.ravel()[compiled.factors].prod(axis=0) * compiled.numerators
+    out = np.bincount(compiled.entry, weights=terms, minlength=16) / (1 << compiled.m)
+    return StokesChannel(out.reshape(4, 4))
 
 
 def general_map_exact(code: StabilizerCode, entries) -> list[list[Fraction]]:
-    """Exact-rational variant of `general_map` for a 4x4 array of Fractions.
-
-    Intended for small codes; cost grows as 4^m * 4^m * n per entry.
-    """
-    rows = [[Fraction(v) for v in row] for row in entries]
-    if len(rows) != 4 or any(len(r) != 4 for r in rows):
+    """Exact-rational `general_map` of a 4x4 array of exact entries."""
+    flat = [Fraction(v) for row in entries for v in row]
+    if len(entries) != 4 or any(len(row) != 4 for row in entries):
         raise ValueError("expected a 4x4 array of exact entries")
-    tables = {sigma: code.coefficient_table(sigma) for sigma in SIGMAS}
-    out = [[Fraction(0)] * 4 for _ in range(4)]
-    for r, s in enumerate(SIGMAS):
-        for c, t in enumerate(SIGMAS):
-            total = Fraction(0)
-            for p_row, _, beta in tables[s]:
-                if beta == 0:
-                    continue
-                row_letters = p_row.letters
-                for p_col, alpha, _ in tables[t]:
-                    col_letters = p_col.letters
-                    term = beta * alpha
-                    for k in range(code.n):
-                        term *= rows[_LETTER_INDEX[row_letters[k]]][
-                            _LETTER_INDEX[col_letters[k]]
-                        ]
-                        if term == 0:
-                            break
-                    total += term
-            out[r][c] = total
-    return out
+    compiled = compiled_map(code)
+    out = [Fraction(0)] * 16
+    for k, factors, num in zip(
+        compiled.entry.tolist(), compiled.factors.T.tolist(), compiled.numerators.tolist()
+    ):
+        out[k] += num * math.prod(flat[p] for p in factors)
+    return [[v / (1 << compiled.m) for v in out[4 * r : 4 * r + 4]] for r in range(4)]
 
 
 @dataclass(frozen=True)

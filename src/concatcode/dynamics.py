@@ -258,6 +258,7 @@ class GeneralBound:
     c_n: float
     c_m: float
     c_m_source: str
+    c_m_grid: float
     value: float
     bounds_guaranteed: bool
 
@@ -287,6 +288,7 @@ def general_bound_check(
         c_n=float(constants.c_n),
         c_m=c_m,
         c_m_source=source,
+        c_m_grid=constants.c_m,
         value=value,
         bounds_guaranteed=constants.bounds_guaranteed,
     )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pauli import PauliString
+from .pauli import LETTERS, PauliString
 
 PAULI_MATS = np.array(
     [
@@ -16,14 +16,12 @@ PAULI_MATS = np.array(
     dtype=complex,
 )
 
-_LETTER_INDEX = {"I": 0, "X": 1, "Y": 2, "Z": 3}
-
 
 def pauli_dense(p: PauliString) -> np.ndarray:
     """Dense 2^n x 2^n matrix of a Pauli string, phase included."""
     out = np.array([[p.phase]], dtype=complex)
     for c in p.letters:
-        out = np.kron(out, PAULI_MATS[_LETTER_INDEX[c]])
+        out = np.kron(out, PAULI_MATS[LETTERS.index(c)])
     return out
 
 
@@ -64,15 +62,6 @@ def stokes_from_kraus(kraus) -> np.ndarray:
         for s in range(4):
             out[s, t] = np.trace(PAULI_MATS[s] @ image).real
     return out
-
-
-def apply_matrix_on_qubit(rho: np.ndarray, a: np.ndarray, qubit: int, nq: int) -> np.ndarray:
-    """rho -> (I (x) a (x) I) rho with `a` acting on one qubit (row side only)."""
-    dim = 1 << nq
-    t = rho.reshape((2,) * (2 * nq))
-    t = np.tensordot(a, t, axes=([1], [qubit]))
-    t = np.moveaxis(t, 0, qubit)
-    return t.reshape(dim, dim)
 
 
 def apply_kraus_on_qubit(rho: np.ndarray, kraus, qubit: int, nq: int) -> np.ndarray:

@@ -14,13 +14,12 @@ Bounded to n <= 7 physical qubits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import linalg
 from .channel import StokesChannel, as_stokes
-from .stabilizer import CapabilityError, StabilizerCode
+from .stabilizer import CapabilityError, StabilizerCode, per_code
 
 MAX_DENSE_QUBITS = 7
 
@@ -41,7 +40,7 @@ class _DenseParts:
     corrections: np.ndarray  # stacked R_j P_j, shape (2^m, 2^n, 2^n)
 
 
-@lru_cache(maxsize=None)
+@per_code
 def _dense_parts(code: StabilizerCode) -> _DenseParts:
     if code.n > MAX_DENSE_QUBITS:
         raise CapabilityError(

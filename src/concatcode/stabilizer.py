@@ -12,8 +12,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Sequence
+from functools import lru_cache, wraps
+from typing import Sequence
 
 import numpy as np
 
@@ -60,6 +60,25 @@ class FMatrix:
         return int(self.values[i, SIGMAS.index(sigma)])
 
 
+def per_code(build):
+    """Cache `build(code, *args)` on the code instance rather than in a
+    global table, so that derived data lives exactly as long as its code."""
+
+    @wraps(build)
+    def cached(code: StabilizerCode, *args):
+        key = (build, *args)
+        if key not in code._memo:
+            code._memo[key] = build(code, *args)
+        return code._memo[key]
+
+    return cached
+
+
+def syndrome_of(generators: Sequence[PauliString], p: PauliString) -> int:
+    """Bit i of the result is set iff p anticommutes with generator i."""
+    return sum(1 << i for i, g in enumerate(generators) if eta(p, g) == -1)
+
+
 class StabilizerCode:
     """An [n, 1] stabilizer code with explicit recovery operators.
 
@@ -89,11 +108,7 @@ class StabilizerCode:
         self.logical_z = logical_z
         self.recovery = tuple(recovery)
         self.name = name
-        self._group: tuple[PauliString, ...] | None = None
-        self._recovery_by_syndrome: tuple[PauliString, ...] | None = None
-        self._f: FMatrix | None = None
-        self._coeffs: dict[str, tuple[tuple[PauliString, int, Fraction], ...]] = {}
-        self._dw: tuple[int, int] | None = None
+        self._memo: dict = {}  # filled by per_code
 
     @property
     def m(self) -> int:
@@ -114,21 +129,10 @@ class StabilizerCode:
             if eta(self.generators[i], self.generators[j]) != 1:
                 bad.append(f"generators {i} and {j} anticommute")
         if not bad:
-            # Independent hermitian generators rule out -I as a group element:
-            # no nonempty subset product can even be proportional to identity.
-            seen: dict[tuple[int, int], int] = {}
-            for mask, elem in enumerate(self._enumerate_unchecked()):
-                key = (elem.x_mask, elem.z_mask)
-                if key in seen:
-                    bad.append(
-                        f"dependent generators: subsets {seen[key]:#x} and {mask:#x} "
-                        "give the same group element"
-                    )
-                    break
-                seen[key] = mask
-                if not elem.is_hermitian:
-                    bad.append(f"group element for subset {mask:#x} is not hermitian")
-                    break
+            try:
+                self.group()
+            except InvalidCodeError as exc:
+                bad.append(str(exc))
         for label, op in (("logicalX", self.logical_x), ("logicalZ", self.logical_z)):
             if not op.is_hermitian:
                 bad.append(f"{label} is not hermitian")
@@ -156,13 +160,7 @@ class StabilizerCode:
 
     # -- group and syndrome machinery -------------------------------------
 
-    def _enumerate_unchecked(self) -> Iterable[PauliString]:
-        elems: list[PauliString] = [PauliString.identity(self.n)]
-        for mask in range(1, 1 << self.m):
-            low = (mask & -mask).bit_length() - 1
-            elems.append(self.generators[low] * elems[mask ^ (1 << low)])
-        return elems
-
+    @per_code
     def group(self) -> tuple[PauliString, ...]:
         """All 2^m stabilizers; index = subset bitmask over the generators.
 
@@ -170,44 +168,43 @@ class StabilizerCode:
         generators are hermitian, so phases are +1 or -1; -I itself cannot
         occur once the generators are independent.
         """
-        if self._group is None:
-            elems = tuple(self._enumerate_unchecked())
-            seen = set()
-            for e in elems:
-                if not e.is_hermitian:
-                    raise InvalidCodeError(f"stabilizer {e} is not hermitian")
-                key = (e.x_mask, e.z_mask)
-                if key in seen:
-                    raise InvalidCodeError("dependent generators")
-                seen.add(key)
-            self._group = elems
-        return self._group
+        elems = [PauliString.identity(self.n)]
+        seen = {(0, 0): 0}
+        for mask in range(1, 1 << self.m):
+            low = (mask & -mask).bit_length() - 1
+            elem = self.generators[low] * elems[mask ^ (1 << low)]
+            key = (elem.x_mask, elem.z_mask)
+            if key in seen:
+                raise InvalidCodeError(
+                    f"dependent generators: subsets {seen[key]:#x} and {mask:#x} "
+                    "give the same group element"
+                )
+            if not elem.is_hermitian:
+                raise InvalidCodeError(f"group element for subset {mask:#x} is not hermitian")
+            seen[key] = mask
+            elems.append(elem)
+        return tuple(elems)
 
     def syndrome(self, p: PauliString) -> int:
         """Bit i of the result is set iff p anticommutes with generator i."""
-        s = 0
-        for i, g in enumerate(self.generators):
-            if eta(p, g) == -1:
-                s |= 1 << i
-        return s
+        return syndrome_of(self.generators, p)
 
     def syndrome_bits(self, p: PauliString) -> tuple[int, ...]:
         s = self.syndrome(p)
         return tuple((s >> i) & 1 for i in range(self.m))
 
+    @per_code
     def recovery_by_syndrome(self) -> tuple[PauliString, ...]:
         """Recovery operators re-indexed by their computed syndrome."""
-        if self._recovery_by_syndrome is None:
-            table: list[PauliString | None] = [None] * (1 << self.m)
-            for r in self.recovery:
-                s = self.syndrome(r)
-                if table[s] is not None:
-                    raise InvalidCodeError(f"two recovery operators share syndrome {s:#x}")
-                table[s] = r
-            if any(r is None for r in table):
-                raise InvalidCodeError("recovery operators do not cover all syndromes")
-            self._recovery_by_syndrome = tuple(table)  # type: ignore[arg-type]
-        return self._recovery_by_syndrome
+        table: list[PauliString | None] = [None] * (1 << self.m)
+        for r in self.recovery:
+            s = self.syndrome(r)
+            if table[s] is not None:
+                raise InvalidCodeError(f"two recovery operators share syndrome {s:#x}")
+            table[s] = r
+        if any(r is None for r in table):
+            raise InvalidCodeError("recovery operators do not cover all syndromes")
+        return tuple(table)  # type: ignore[arg-type]
 
     def logical(self, sigma: str) -> PauliString:
         """Logical counterpart of a Pauli letter; logical Y is i * X * Z."""
@@ -223,44 +220,42 @@ class StabilizerCode:
 
     # -- coefficient data --------------------------------------------------
 
+    @per_code
     def f_matrix(self) -> FMatrix:
         """Exact integer table f[i][sigma] over group index i and letter sigma."""
-        if self._f is None:
-            group = self.group()
-            recs = self.recovery_by_syndrome()
-            size = len(group)
-            rec_vs_stab = np.empty((size, size), dtype=np.int64)
-            for i, s in enumerate(group):
-                for j, r in enumerate(recs):
-                    rec_vs_stab[i, j] = eta(r, s)
-            values = np.empty((size, 4), dtype=np.int64)
-            for col, sigma in enumerate(SIGMAS):
-                lg = self.logical(sigma)
-                signs = np.array([eta(r, lg) for r in recs], dtype=np.int64)
-                values[:, col] = rec_vs_stab @ signs
-            values.setflags(write=False)
-            self._f = FMatrix(values)
-        return self._f
+        group = self.group()
+        recs = self.recovery_by_syndrome()
+        size = len(group)
+        rec_vs_stab = np.empty((size, size), dtype=np.int64)
+        for i, s in enumerate(group):
+            for j, r in enumerate(recs):
+                rec_vs_stab[i, j] = eta(r, s)
+        values = np.empty((size, 4), dtype=np.int64)
+        for col, sigma in enumerate(SIGMAS):
+            lg = self.logical(sigma)
+            signs = np.array([eta(r, lg) for r in recs], dtype=np.int64)
+            values[:, col] = rec_vs_stab @ signs
+        values.setflags(write=False)
+        return FMatrix(values)
 
+    @per_code
     def coefficient_table(self, sigma: str) -> tuple[tuple[PauliString, int, Fraction], ...]:
         """Per stabilizer i: the phase-stripped product |S_i sigma_bar|, its
         hermitian sign alpha, and the exact decoding weight beta = f * alpha / 2^m.
         """
-        if sigma not in self._coeffs:
-            f = self.f_matrix()
-            lg = self.logical(sigma)
-            size = 1 << self.m
-            rows = []
-            for i, s in enumerate(self.group()):
-                prod = s * lg
-                exponent = prod.phase_exponent
-                if exponent % 2 != 0:
-                    raise InvalidCodeError(f"product {prod} is not hermitian")
-                alpha = 1 if exponent == 0 else -1
-                beta = Fraction(int(f.values[i, SIGMAS.index(sigma)]), size) * alpha
-                rows.append((prod.strip_phase(), alpha, beta))
-            self._coeffs[sigma] = tuple(rows)
-        return self._coeffs[sigma]
+        f = self.f_matrix()
+        lg = self.logical(sigma)
+        size = 1 << self.m
+        rows = []
+        for i, s in enumerate(self.group()):
+            prod = s * lg
+            exponent = prod.phase_exponent
+            if exponent % 2 != 0:
+                raise InvalidCodeError(f"product {prod} is not hermitian")
+            alpha = 1 if exponent == 0 else -1
+            beta = Fraction(int(f.values[i, SIGMAS.index(sigma)]), size) * alpha
+            rows.append((prod.strip_phase(), alpha, beta))
+        return tuple(rows)
 
     def decoding_coefficients(self) -> dict[str, list[tuple[PauliString, Fraction]]]:
         """For each letter sigma the 2^m pairs (|S_i sigma_bar|, beta)."""
@@ -271,6 +266,7 @@ class StabilizerCode:
 
     # -- code parameters ----------------------------------------------------
 
+    @per_code
     def distance_and_w(self) -> tuple[int, int]:
         """Brute-force (d, w) over all 4^n phase-stripped strings.
 
@@ -278,40 +274,38 @@ class StabilizerCode:
         generator but are not stabilizers (mod phase); w is the minimum
         weight over non-identity stabilizers.  Bounded to n <= 12.
         """
-        if self._dw is None:
-            if self.n > BRUTE_FORCE_MAX_QUBITS:
-                raise CapabilityError(
-                    f"brute-force parameter search is limited to n <= "
-                    f"{BRUTE_FORCE_MAX_QUBITS}, code has n = {self.n}"
-                )
-            n = self.n
-            mask = (1 << n) - 1
-            pop = np.array([v.bit_count() for v in range(1 << n)], dtype=np.int8)
-            member = np.zeros(1 << (2 * n), dtype=bool)
-            for s in self.group():
-                member[s.x_mask | (s.z_mask << n)] = True
-            best_d = best_w = n + 1
-            chunk = 1 << 20
-            for start in range(0, 1 << (2 * n), chunk):
-                idx = np.arange(start, min(start + chunk, 1 << (2 * n)), dtype=np.int64)
-                x = idx & mask
-                z = idx >> n
-                w = pop[x | z]
-                commuting = np.ones(len(idx), dtype=bool)
-                for g in self.generators:
-                    parity = (pop[x & g.z_mask] + pop[z & g.x_mask]) & 1
-                    commuting &= parity == 0
-                in_group = member[idx]
-                logical_like = commuting & ~in_group
-                if logical_like.any():
-                    best_d = min(best_d, int(w[logical_like].min()))
-                nontrivial = in_group & (w > 0)
-                if nontrivial.any():
-                    best_w = min(best_w, int(w[nontrivial].min()))
-            if best_w == n + 1:
-                best_w = 0  # no non-identity stabilizers (trivial m = 0 code)
-            self._dw = (best_d, best_w)
-        return self._dw
+        if self.n > BRUTE_FORCE_MAX_QUBITS:
+            raise CapabilityError(
+                f"brute-force parameter search is limited to n <= "
+                f"{BRUTE_FORCE_MAX_QUBITS}, code has n = {self.n}"
+            )
+        n = self.n
+        mask = (1 << n) - 1
+        pop = np.array([v.bit_count() for v in range(1 << n)], dtype=np.int8)
+        member = np.zeros(1 << (2 * n), dtype=bool)
+        for s in self.group():
+            member[s.x_mask | (s.z_mask << n)] = True
+        best_d = best_w = n + 1
+        chunk = 1 << 20
+        for start in range(0, 1 << (2 * n), chunk):
+            idx = np.arange(start, min(start + chunk, 1 << (2 * n)), dtype=np.int64)
+            x = idx & mask
+            z = idx >> n
+            w = pop[x | z]
+            commuting = np.ones(len(idx), dtype=bool)
+            for g in self.generators:
+                parity = (pop[x & g.z_mask] + pop[z & g.x_mask]) & 1
+                commuting &= parity == 0
+            in_group = member[idx]
+            logical_like = commuting & ~in_group
+            if logical_like.any():
+                best_d = min(best_d, int(w[logical_like].min()))
+            nontrivial = in_group & (w > 0)
+            if nontrivial.any():
+                best_w = min(best_w, int(w[nontrivial].min()))
+        if best_w == n + 1:
+            best_w = 0  # no non-identity stabilizers (trivial m = 0 code)
+        return (best_d, best_w)
 
 
 def auto_recovery(generators: Sequence[PauliString], n: int | None = None) -> list[PauliString]:
@@ -326,15 +320,6 @@ def auto_recovery(generators: Sequence[PauliString], n: int | None = None) -> li
     m = len(gens)
     target = 1 << m
     found: dict[int, PauliString] = {}
-
-    def syndrome(p: PauliString) -> int:
-        s = 0
-        for i, g in enumerate(gens):
-            if eta(p, g) == -1:
-                s |= 1 << i
-        return s
-
-    order = {"I": 0, "X": 1, "Y": 2, "Z": 3}
     for weight in range(n + 1):
         candidates: list[tuple[tuple[int, ...], PauliString]] = []
         for positions in itertools.combinations(range(n), weight):
@@ -343,10 +328,10 @@ def auto_recovery(generators: Sequence[PauliString], n: int | None = None) -> li
                 for q, c in zip(positions, letters):
                     word[q] = c
                 p = PauliString("".join(word))
-                candidates.append((tuple(order[c] for c in word), p))
+                candidates.append((tuple(SIGMAS.index(c) for c in word), p))
         candidates.sort(key=lambda item: item[0])
         for _, p in candidates:
-            s = syndrome(p)
+            s = syndrome_of(gens, p)
             if s not in found:
                 found[s] = p
                 if len(found) == target:

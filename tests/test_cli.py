@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import concatcode.dynamics
 from concatcode.cli import main
 
 SQRT_2_3 = math.sqrt(2.0 / 3.0)
@@ -229,3 +230,75 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["codes"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "check", "bitflip3", "--trials", "0"],
+        ["oracle", "check", "bitflip3", "--trials", "-1"],
+        ["orbit", "five-qubit", "--channel", "depol:0.1", "--levels", "-3"],
+        ["map", "five-qubit", "--channel", "depol:0.1", "--levels", "-1"],
+        ["threshold", "five-qubit", "--ray", "depol", "--k-max", "0"],
+        ["threshold", "five-qubit", "--ray", "depol", "--tol", "0"],
+        ["threshold", "five-qubit", "--ray", "depol", "--tol", "-1e-6"],
+        ["threshold", "five-qubit", "--ray", "depol", "--tol", "nan"],
+        ["threshold", "five-qubit", "--ray", "depol", "--tol", "inf"],
+        ["threshold", "five-qubit", "--ray", "depol", "--tol-conv", "0"],
+    ],
+)
+def test_bad_counts_and_tolerances_rejected_at_parse_time(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: argument --")
+    assert captured.err.count("\n") == 1
+
+
+def test_zero_levels_still_accepted(capsys):
+    payload = run_json(capsys, "orbit", "five-qubit", "--channel", "depol:0.1",
+                       "--levels", "0", "--format", "json")
+    assert payload["iterations_used"] == 0
+
+
+BOUND_STDOUT = {
+    "five-qubit": """{
+  "bound": 0.014398953882939288,
+  "bounds_guaranteed": true,
+  "c_m": 5.4494897427831779,
+  "c_m_grid": 5.5904588377453379,
+  "c_m_source": "closed-form",
+  "c_n": 64,
+  "code": "five-qubit"
+}
+""",
+    "steane": """{
+  "bound": 0.00242942937080545,
+  "bounds_guaranteed": true,
+  "c_m": 11.619292998199526,
+  "c_m_grid": 11.619292998199526,
+  "c_m_source": "grid",
+  "c_n": 400,
+  "code": "steane"
+}
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_STDOUT))
+def test_bound_stdout_pinned_and_constants_computed_once(capsys, monkeypatch, name):
+    monkeypatch.delenv("CONCATCODE_SEED", raising=False)
+    calls = []
+    original = concatcode.dynamics.c_constants
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(concatcode.dynamics, "c_constants", counting)
+    code, out, _ = run(capsys, "bound", name)
+    assert code == 0
+    assert out == BOUND_STDOUT[name]
+    assert len(calls) == 1

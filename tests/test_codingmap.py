@@ -15,6 +15,8 @@ dense simulator (see test_oracle) and by an independent convolution of
 the inner cube for the Shor Z component.
 """
 
+import gc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -29,13 +31,16 @@ from concatcode import (
     c_constants,
     depolarizing,
     diagonal_map,
+    extract_stokes,
     general_map,
     general_map_exact,
     get_code,
     is_valid_channel,
+    parse_code_spec,
     random_cptp,
     random_pauli_channel,
 )
+from concatcode.codingmap import compiled_map
 
 F = Fraction
 
@@ -286,3 +291,103 @@ def test_c_m_flags_weak_codes():
     constants = c_constants(get_code("bitflip3"))
     assert isinstance(constants, CConstants)
     assert not constants.bounds_guaranteed
+
+
+# -- compiled map against the pairwise sum ------------------------------------------
+
+LETTER = {"I": 0, "X": 1, "Y": 2, "Z": 3}
+
+
+def _tables(code):
+    """Per letter: (letter indices of |S_i sigma_bar|, alpha, beta) over the group."""
+    out = {}
+    for sigma in "IXYZ":
+        table = code.coefficient_table(sigma)
+        letters = np.array([[LETTER[c] for c in p.letters] for p, _, _ in table])
+        out[sigma] = (letters, [a for _, a, _ in table], [b for _, _, b in table])
+    return out
+
+
+def pairwise_reference(code, matrix):
+    """Entry (s, t) as the sum over all stabilizer pairs (j, i) of
+    beta[s]_j * alpha[t]_i * prod_k T[row_j[k], col_i[k]], in floats."""
+    tables = _tables(code)
+    out = np.empty((4, 4))
+    for r, s in enumerate("IXYZ"):
+        rows, _, beta = tables[s]
+        for c, t in enumerate("IXYZ"):
+            cols, alpha, _ = tables[t]
+            prod = np.ones((len(rows), len(cols)))
+            for k in range(code.n):
+                prod *= matrix[rows[:, k][:, None], cols[:, k][None, :]]
+            out[r, c] = np.array(beta, dtype=float) @ prod @ np.array(alpha, dtype=float)
+    return out
+
+
+def pairwise_reference_exact(code, entries):
+    """The same pairwise sum over Fractions."""
+    tables = _tables(code)
+    out = [[F(0)] * 4 for _ in range(4)]
+    for r, s in enumerate("IXYZ"):
+        rows, _, beta = tables[s]
+        for c, t in enumerate("IXYZ"):
+            cols, alpha, _ = tables[t]
+            for row, b in zip(rows, beta):
+                for col, a in zip(cols, alpha):
+                    term = b * a
+                    for k in range(code.n):
+                        term *= entries[row[k]][col[k]]
+                    out[r][c] += term
+    return out
+
+
+def test_monomial_counts():
+    counts = {name: len(compiled_map(get_code(name)).entry) for name in builtin_names()}
+    assert counts == {"bitflip3": 56, "five-qubit": 424, "steane": 412, "shor": 2132}
+
+
+@pytest.mark.parametrize("name", ["bitflip3", "five-qubit", "steane", "shor"])
+def test_compiled_map_matches_pairwise_sum(name):
+    code = get_code(name)
+    rng = np.random.default_rng(2024)
+    inputs = [random_cptp(rng).matrix for _ in range(4)]
+    inputs += [rng.uniform(-1.0, 1.0, size=(4, 4)) for _ in range(4)]
+    for matrix in inputs:
+        got = general_map(code, StokesChannel(matrix)).matrix
+        np.testing.assert_allclose(got, pairwise_reference(code, matrix), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("name", ["bitflip3", "five-qubit"])
+def test_general_map_exact_equals_pairwise_sum(name):
+    code = get_code(name)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        entries = [[F(int(v), 64) for v in row] for row in rng.integers(-64, 65, size=(4, 4))]
+        assert general_map_exact(code, entries) == pairwise_reference_exact(code, entries)
+
+
+def test_shor_exact_diagonal_equals_diagonal_map():
+    code = get_code("shor")
+    poly = diagonal_map(code)
+    x, y, z = F(7, 10), F(-2, 5), F(9, 10)
+    entries = [[F(0)] * 4 for _ in range(4)]
+    for i, v in enumerate((F(1), x, y, z)):
+        entries[i][i] = v
+    out = general_map_exact(code, entries)
+    assert [out[i][j] for i in range(4) for j in range(4) if i != j] == [0] * 12
+    assert [out[i][i] for i in range(4)] == [1, *(poly.evaluate(s, x, y, z) for s in "XYZ")]
+
+
+def test_per_code_data_is_freed_with_the_code():
+    builtin = get_code("five-qubit")
+    lines = [f"n {builtin.n}"]
+    lines += [f"generator {g}" for g in builtin.generators]
+    lines += [f"logicalX {builtin.logical_x}", f"logicalZ {builtin.logical_z}", "recovery auto"]
+    code = parse_code_spec("\n".join(lines) + "\n")
+    diagonal_map(code)
+    general_map(code, random_cptp(np.random.default_rng(0)))
+    extract_stokes(code, depolarizing(0.1))
+    ref = weakref.ref(code)
+    del code
+    gc.collect()
+    assert ref() is None
