@@ -26,7 +26,6 @@ from .codingmap import (
     CConstants,
     DiagonalMapPolynomial,
     Monomial,
-    apply_diagonal,
     c_constants,
     diagonal_map,
     general_map,
@@ -91,7 +90,6 @@ __all__ = [
     "StabilizerCode",
     "StokesChannel",
     "ValidationReport",
-    "apply_diagonal",
     "auto_recovery",
     "build_logical_basis",
     "builtin_names",

@@ -18,8 +18,6 @@ import numpy as np
 
 from . import linalg
 
-SIGMAS = ("I", "X", "Y", "Z")
-
 
 @dataclass(frozen=True)
 class DiagonalChannel:
@@ -86,18 +84,8 @@ class StokesChannel:
             return NotImplemented
         return StokesChannel(self._m @ other._m)
 
-    def entry(self, s: str, t: str) -> float:
-        return float(self._m[SIGMAS.index(s), SIGMAS.index(t)])
-
     def is_trace_preserving(self, tol: float = 1e-10) -> bool:
         return bool(np.max(np.abs(self._m[0] - np.array([1.0, 0, 0, 0]))) <= tol)
-
-    def is_diagonal(self, tol: float = 0.0) -> bool:
-        off = self._m - np.diag(np.diag(self._m))
-        return bool(np.max(np.abs(off)) <= tol)
-
-    def diagonal_part(self) -> DiagonalChannel:
-        return DiagonalChannel(float(self._m[1, 1]), float(self._m[2, 2]), float(self._m[3, 3]))
 
     def choi(self) -> np.ndarray:
         return linalg.choi_matrix(self._m)

@@ -199,23 +199,6 @@ def _cmd_map(args) -> int:
     return 0
 
 
-def _cmd_orbit(args) -> int:
-    code = _resolve_code(args.code)
-    channel = parse_channel_literal(args.channel)
-    record = iterate(code, channel, k_max=args.levels, tol=args.tol)
-    if args.format == "csv":
-        header, rows = orbit_rows(record)
-        _write(to_csv(header, rows), args.output)
-    else:
-        _write(
-            canonical_json(
-                _orbit_record_json(code.name or args.code, args.channel, record)
-            ),
-            args.output,
-        )
-    return 0
-
-
 def _parse_ray(text: str) -> RaySpec:
     if text == "depol":
         return RaySpec.depolarizing_ray()
@@ -359,6 +342,7 @@ def _build_parser(default_seed: int) -> argparse.ArgumentParser:
     p.add_argument("--levels", type=_LEVELS, default=60)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--format", choices=["json", "csv"], default="csv")
+    p.set_defaults(symbolic=False)
     add_common(p)
 
     p = sub.add_parser("threshold", help="largest converging noise strength along a ray")
@@ -394,7 +378,7 @@ def _build_parser(default_seed: int) -> argparse.ArgumentParser:
 _HANDLERS = {
     "codes": _cmd_codes,
     "map": _cmd_map,
-    "orbit": _cmd_orbit,
+    "orbit": _cmd_map,
     "threshold": _cmd_threshold,
     "jacobian": _cmd_jacobian,
     "oracle": _cmd_oracle,

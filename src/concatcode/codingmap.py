@@ -2,17 +2,19 @@
 
 One coding level wraps product noise T^(x)n between encoding and
 syndrome recovery plus decoding; on the level of Stokes matrices this is
-a polynomial map of degree n.  Two forms are provided:
+a polynomial map of degree n.  Both forms provided here are built once
+per code instance from one source, the decoding coefficient tables
+(`StabilizerCode.coefficient_table`), with exact integer numerators over
+2^m:
 
 * `compiled_map` holds every entry of the full 4x4 image as merged
-  monomials in the 16 input entries, with exact integer numerators over
-  2^m.  It is built once per code instance, from the decoding
-  coefficient tables; `general_map` evaluates it in floating point at
-  O(n) per monomial, `general_map_exact` in exact rationals;
-* `diagonal_map` returns the exact multivariate polynomials of the three
-  diagonal components, with rational coefficients whose denominators
-  divide 2^m.  Diagonal inputs stay diagonal, so these polynomials fully
-  describe the dynamics of Pauli noise.
+  monomials in the 16 input entries: the sum over stabilizer pairs.
+  `general_map` evaluates it in floating point at O(n) per monomial,
+  `general_map_exact` in exact rationals;
+* `diagonal_map` holds the exact multivariate polynomials of the three
+  diagonal components: the part of that pair sum where both members of
+  the pair are the same row.  Diagonal inputs stay diagonal, so these
+  polynomials fully describe the dynamics of Pauli noise.
 """
 
 from __future__ import annotations
@@ -38,6 +40,10 @@ class Monomial(NamedTuple):
     coeff: Fraction
 
 
+def _monomial_sum(monomials, x, y, z):
+    return sum(m.coeff * x**m.a * y**m.b * z**m.c for m in monomials)
+
+
 @dataclass(frozen=True)
 class DiagonalMapPolynomial:
     """Exact polynomials of the three diagonal components of one coding level.
@@ -52,7 +58,7 @@ class DiagonalMapPolynomial:
 
     def evaluate(self, sigma: str, x, y, z):
         """Evaluate one component; exact when the inputs are Fractions."""
-        return sum(m.coeff * x**m.a * y**m.b * z**m.c for m in self.components[sigma])
+        return _monomial_sum(self.components[sigma], x, y, z)
 
     def apply(self, t: DiagonalChannel) -> DiagonalChannel:
         x, y, z = t.as_tuple()
@@ -80,10 +86,7 @@ class DiagonalMapPolynomial:
         out = np.empty((3, 3))
         for r, sigma in enumerate(COMPONENTS):
             for c, var in enumerate("xyz"):
-                val = sum(
-                    m.coeff * x**m.a * y**m.b * z**m.c for m in self.derivative(sigma, var)
-                )
-                out[r, c] = float(val)
+                out[r, c] = float(_monomial_sum(self.derivative(sigma, var), x, y, z))
         return out
 
     def depolarizing_line(self, sigma: str) -> tuple[Fraction, ...]:
@@ -134,35 +137,22 @@ class DiagonalMapPolynomial:
 def diagonal_map(code: StabilizerCode) -> DiagonalMapPolynomial:
     """Exact diagonal-component polynomials of one coding level.
 
-    Component sigma collects, per stabilizer S_i, the monomial with the
-    letter counts of |S_i sigma_bar| and coefficient f[i][sigma] / 2^m;
-    like monomials merge and exact zeros drop out.
+    Component sigma adds, per row (|S_i sigma_bar|, alpha, beta) of the
+    coefficient table, the monomial x^a y^b z^c with the row's letter
+    counts (a, b, c) and coefficient alpha * beta; like monomials merge
+    and exact zeros drop out.
     """
-    f = code.f_matrix()
-    group = code.group()
-    size = len(group)
+    size = 1 << code.m
     components: dict[str, tuple[Monomial, ...]] = {}
-    for col, sigma in enumerate(SIGMAS):
-        if sigma == "I":
-            continue
-        logical = code.logical(sigma)
-        acc: dict[tuple[int, int, int], Fraction] = {}
-        for i, s in enumerate(group):
-            exps = (s * logical).weights()
-            coeff = Fraction(int(f.values[i, col]), size)
-            acc[exps] = acc.get(exps, Fraction(0)) + coeff
-        monomials = tuple(
-            Monomial(a, b, c, coeff)
-            for (a, b, c), coeff in sorted(acc.items())
-            if coeff != 0
+    for sigma in COMPONENTS:
+        acc: dict[tuple[int, int, int], int] = {}  # numerators over 2^m
+        for p, alpha, beta in code.coefficient_table(sigma):
+            exps = p.weights()
+            acc[exps] = acc.get(exps, 0) + alpha * beta.numerator * size // beta.denominator
+        components[sigma] = tuple(
+            Monomial(a, b, c, Fraction(num, size)) for (a, b, c), num in sorted(acc.items()) if num
         )
-        components[sigma] = monomials
     return DiagonalMapPolynomial(n=code.n, components=components)
-
-
-def apply_diagonal(poly: DiagonalMapPolynomial, t: DiagonalChannel) -> DiagonalChannel:
-    """Componentwise evaluation of the diagonal polynomials at [x, y, z]."""
-    return poly.apply(t)
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,11 @@ import numpy as np
 
 from .channel import DiagonalChannel, StokesChannel, max_entry_distance
 from .codingmap import COMPONENTS, c_constants, diagonal_map, general_map
-from .stabilizer import StabilizerCode
+from .stabilizer import StabilizerCode, get_code
 
 DEFAULT_K_MAX = 60
 DEFAULT_CONV_TOL = 1e-9
+SCAN_STEP = 1e-3  # grid spacing of the fixed-point scan
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,8 @@ def iterate(
 
     Diagonal inputs iterate through the exact polynomial reduction,
     general inputs through the full 4x4 map.  Divergence is a recorded
-    outcome, not an error.
+    outcome, not an error: the orbit ends, unconverged, before the first
+    level that overflows or has a non-finite entry.
     """
     diagonal = isinstance(t0, DiagonalChannel)
     poly = diagonal_map(code) if diagonal else None
@@ -86,9 +88,19 @@ def iterate(
     converged = levels[0].distance < tol
     k = 0
     while not converged and k < k_max:
-        state = poly.apply(state) if diagonal else general_map(code, state)
-        k += 1
+        try:
+            state = poly.apply(state) if diagonal else general_map(code, state)
+        except OverflowError:
+            break
         dist = max_entry_distance(state)
+        # Python's max can hide a NaN entry; np.max in the Stokes distance cannot
+        if diagonal:
+            finite = math.isfinite(state.x) and math.isfinite(state.y) and math.isfinite(state.z)
+        else:
+            finite = math.isfinite(dist)
+        if not finite:
+            break
+        k += 1
         levels.append(OrbitLevel(k, state, dist))
         converged = dist < tol
     return OrbitRecord(levels=tuple(levels), converged=converged, iterations_used=k)
@@ -104,7 +116,6 @@ def fixed_points_1d(
     coeffs: Sequence[float],
     interval: tuple[float, float] = (-1.0, 1.0),
     tol: float = 1e-12,
-    step: float = 1e-3,
 ) -> FixedPointScan:
     """All real solutions of poly(x) = x in the interval.
 
@@ -124,7 +135,7 @@ def fixed_points_1d(
             acc = acc * x + coeff
         return acc - x
 
-    count = max(2, int(math.ceil((hi - lo) / step)))
+    count = max(2, int(math.ceil((hi - lo) / SCAN_STEP)))
     xs = [lo + (hi - lo) * i / count for i in range(count + 1)]
     vals = [g(x) for x in xs]
     if all(abs(v) < 1e-14 for v in vals):
@@ -268,21 +279,22 @@ def general_bound_check(
 ) -> GeneralBound:
     """Evaluate the arbitrary-channel convergence bound (c_N + c_M)^-1.
 
-    For the built-in five-qubit code the closed-form quadratic constant
-    (1 - sqrt(2/3))^-1 is used; other codes fall back to the operational
-    grid constant.  An explicit `c_m` overrides either.
+    For codes whose diagonal polynomials equal the five-qubit code's, the
+    closed-form quadratic constant (1 - sqrt(2/3))^-1 is used; other codes
+    fall back to the operational grid constant.  An explicit `c_m`
+    overrides either.
     """
     constants = c_constants(code, seed=seed)
     if c_m is not None:
         source = "user"
-    elif code.name == "five-qubit":
+    elif diagonal_map(code).components == diagonal_map(get_code("five-qubit")).components:
         c_m = FIVE_QUBIT_QUADRATIC_CONSTANT
         source = "closed-form"
     else:
         c_m = constants.c_m
         source = "grid"
     value = 1.0 / (float(constants.c_n) + c_m)
-    if code.name == "five-qubit" and source == "closed-form" and value < 0.014:
+    if source == "closed-form" and value < 0.014:
         raise ArithmeticError("five-qubit bound fell below 0.014; inconsistent constants")
     return GeneralBound(
         c_n=float(constants.c_n),

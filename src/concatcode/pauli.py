@@ -178,9 +178,6 @@ class PauliString:
     def is_hermitian(self) -> bool:
         return self.phase_exponent % 2 == 0
 
-    def commutes(self, other: "PauliString") -> bool:
-        return eta(self, other) == 1
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PauliString):
             return NotImplemented

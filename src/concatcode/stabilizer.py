@@ -243,18 +243,17 @@ class StabilizerCode:
         """Per stabilizer i: the phase-stripped product |S_i sigma_bar|, its
         hermitian sign alpha, and the exact decoding weight beta = f * alpha / 2^m.
         """
-        f = self.f_matrix()
+        column = self.f_matrix().values[:, SIGMAS.index(sigma)].tolist()
         lg = self.logical(sigma)
         size = 1 << self.m
         rows = []
-        for i, s in enumerate(self.group()):
+        for s, f in zip(self.group(), column):
             prod = s * lg
             exponent = prod.phase_exponent
             if exponent % 2 != 0:
                 raise InvalidCodeError(f"product {prod} is not hermitian")
             alpha = 1 if exponent == 0 else -1
-            beta = Fraction(int(f.values[i, SIGMAS.index(sigma)]), size) * alpha
-            rows.append((prod.strip_phase(), alpha, beta))
+            rows.append((prod.strip_phase(), alpha, Fraction(alpha * f, size)))
         return tuple(rows)
 
     def decoding_coefficients(self) -> dict[str, list[tuple[PauliString, Fraction]]]:

@@ -1,5 +1,6 @@
 """Command-line interface: output schemas, determinism and exit codes."""
 
+import hashlib
 import json
 import math
 
@@ -302,3 +303,61 @@ def test_bound_stdout_pinned_and_constants_computed_once(capsys, monkeypatch, na
     assert code == 0
     assert out == BOUND_STDOUT[name]
     assert len(calls) == 1
+
+
+def test_diverging_orbit_exits_zero(capsys):
+    code, out, _ = run(capsys, "orbit", "five-qubit", "--channel", "diag:1.5,1.5,1.5")
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()] == ["k", "0", "1", "2", "3", "4"]
+
+
+def test_threshold_on_a_diverging_ray_exits_zero(capsys):
+    payload = run_json(capsys, "threshold", "five-qubit", "--ray", "ray:-1,-1,-1")
+    assert payload["threshold"] == 0.13973903656005859
+
+
+# sha256 of stdout.  These commands compute in exact rationals and Python
+# floats only, so their output is the same on every platform.
+PINNED_STDOUT_SHA256 = {
+    "map bitflip3 --symbolic":
+        "a972427e121ed072aab3eca53857068d2edaffa4c8c46cd5fc6a4beddcfc9022",
+    "threshold bitflip3 --ray depol":
+        "0356a3a0954dc4393975ed34148a2547db2e8e3598878612fd964b0d2e2ecdfb",
+    "threshold bitflip3 --ray deph":
+        "6cef6cc0fac65792ca85854112000b8aa7533b13edb1be77b2814f1e719b3d11",
+    "orbit bitflip3 --channel depol:0.05":
+        "35902a9be248ea3752b16d71a68dc48da5f543275768a82802b62ba2a8049237",
+    "map five-qubit --symbolic":
+        "5479149ed3ae3e63baafdcfed91ae3c260d8b3f15f96da62f2f93e55646e3aff",
+    "threshold five-qubit --ray depol":
+        "ae6befae0ef8c7bc873a0a360cfd84cf71eb507428cd7a31ebf9fc478c08fc7a",
+    "threshold five-qubit --ray deph":
+        "177addef4bade3afd64b9a5ff6c08a8237abec9b0c2dc4354657b2a95cd527f8",
+    "orbit five-qubit --channel depol:0.05":
+        "b0a2e0a90c2a6791190db5818b758c020cd1c6dacc702a62ea809d3a8ae7f5dc",
+    "map steane --symbolic":
+        "72e3f27deabb3274c8266f3971a1e4ba211347ac76020a4c23b7895bbea6939f",
+    "threshold steane --ray depol":
+        "06b9f4326a54493ab23b85eed55bb34a874350733c1108913ae30545582f5e8f",
+    "threshold steane --ray deph":
+        "f4f630ea9134d1e5ece5db03654a5bc211dda1862e6104aa71c2f3f3bfa0feb8",
+    "orbit steane --channel depol:0.05":
+        "e8c379b9923ee8cda4951885f6c0b29f4140a64ef6d01647fc5082fbb439f8cc",
+    "map shor --symbolic":
+        "fef1616092f63b568abe7b48bbc080a03a40efc07cff9fa09b00c8c2f1f1f711",
+    "threshold shor --ray depol":
+        "c028a9388658772eeb088973e00c6867edf09d9914e56efd852f469c21aaa24f",
+    "threshold shor --ray deph":
+        "fe8c8d04a3d929033c28a31527b84ab426dd3ba8f22ccac44bfb650ae1c61d18",
+    "orbit shor --channel depol:0.05":
+        "4773ffc150b133f6e119eb944dc3c24f84f22cb3d999b8072e5aa7f57ed58b36",
+}
+
+
+def test_pinned_cli_stdout(capsys):
+    got = {}
+    for command in PINNED_STDOUT_SHA256:
+        code, out, _ = run(capsys, *command.split())
+        assert code == 0, command
+        got[command] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == PINNED_STDOUT_SHA256

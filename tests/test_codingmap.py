@@ -26,7 +26,6 @@ from concatcode import (
     CConstants,
     DiagonalChannel,
     StokesChannel,
-    apply_diagonal,
     builtin_names,
     c_constants,
     depolarizing,
@@ -123,15 +122,15 @@ def test_depolarizing_line_five_qubit():
 
 def test_apply_diagonal_examples():
     poly3 = diagonal_map(get_code("bitflip3"))
-    out = apply_diagonal(poly3, DiagonalChannel(1.0, 1.0, 0.9))
+    out = poly3.apply(DiagonalChannel(1.0, 1.0, 0.9))
     assert out.z == pytest.approx(0.9855, abs=1e-15)
     poly5 = diagonal_map(get_code("five-qubit"))
     x = 0.93
-    out5 = apply_diagonal(poly5, DiagonalChannel(x, x, x))
+    out5 = poly5.apply(DiagonalChannel(x, x, x))
     assert out5.x == pytest.approx(2.5 * x**3 - 1.5 * x**5, abs=1e-14)
     for name in builtin_names():
         poly = diagonal_map(get_code(name))
-        assert apply_diagonal(poly, DiagonalChannel.identity()).as_tuple() == (1, 1, 1)
+        assert poly.apply(DiagonalChannel.identity()).as_tuple() == (1, 1, 1)
 
 
 def test_json_export_canonical_order():
@@ -192,7 +191,7 @@ def test_general_map_matches_diagonal_polynomials_in_float():
             out = general_map(code, t.to_stokes())
             off = out.matrix - np.diag(np.diag(out.matrix))
             assert np.max(np.abs(off)) <= 1e-12
-            expected = apply_diagonal(poly, t)
+            expected = poly.apply(t)
             np.testing.assert_allclose(
                 np.diag(out.matrix), [1.0, *expected.as_tuple()], atol=1e-12
             )
@@ -259,8 +258,8 @@ def test_five_qubit_monotone_against_matched_depolarizing():
     lo = np.sqrt(2.0 / 3.0)
     for _ in range(200):
         x, y, z = lo + (1.0 - lo) * rng.uniform(size=3)
-        out = apply_diagonal(poly, DiagonalChannel(x, y, z))
-        matched = apply_diagonal(poly, DiagonalChannel(*([min(x, y, z)] * 3)))
+        out = poly.apply(DiagonalChannel(x, y, z))
+        matched = poly.apply(DiagonalChannel(*([min(x, y, z)] * 3)))
         for got, ref in zip(out.as_tuple(), matched.as_tuple()):
             assert ref - 1e-12 <= got <= 1.0 + 1e-12
 
@@ -366,8 +365,9 @@ def test_general_map_exact_equals_pairwise_sum(name):
         assert general_map_exact(code, entries) == pairwise_reference_exact(code, entries)
 
 
-def test_shor_exact_diagonal_equals_diagonal_map():
-    code = get_code("shor")
+@pytest.mark.parametrize("name", ["bitflip3", "five-qubit", "steane", "shor"])
+def test_exact_diagonal_equals_diagonal_map(name):
+    code = get_code(name)
     poly = diagonal_map(code)
     x, y, z = F(7, 10), F(-2, 5), F(9, 10)
     entries = [[F(0)] * 4 for _ in range(4)]

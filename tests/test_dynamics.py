@@ -19,6 +19,7 @@ from concatcode import (
     iterate,
     jacobian_fd,
     jacobian_fd_full,
+    parse_code_spec,
     threshold,
 )
 
@@ -57,6 +58,20 @@ def test_depolarizing_outside_basin_diverges(five_qubit):
     record = iterate(five_qubit, depolarizing(0.5), tol=1e-9)
     assert not record.converged
     assert record.levels[-1].distance > 0.5
+
+
+def test_diverging_orbit_ends_before_the_first_non_finite_level(five_qubit):
+    # the diagonal path overflows with OverflowError, the Stokes path with inf
+    starts = (DiagonalChannel(1.5, 1.5, 1.5), StokesChannel(np.diag([1.0, 1.5, 1.5, 1.5])))
+    for t0 in starts:
+        with np.errstate(over="ignore", invalid="ignore"):
+            record = iterate(five_qubit, t0)
+        assert not record.converged
+        assert record.iterations_used == len(record.levels) - 1 == 4
+        assert record.levels[-1].distance > 1e61
+        for level in record.levels:
+            entries = level.channel.matrix if isinstance(t0, StokesChannel) else level.channel.as_tuple()
+            assert np.isfinite(entries).all()
 
 
 def test_general_orbit_stokes_input(five_qubit):
@@ -270,3 +285,33 @@ def test_steane_bound_reported(steane):
     assert bound.c_m_source == "grid"
     assert 0.0 < bound.value < 0.014
     assert bound.bounds_guaranteed
+
+
+def spec_text(code, perm) -> str:
+    """Spec text of `code` with qubit q moved to position perm[q]."""
+
+    def moved(p):
+        letters = ["I"] * code.n
+        for q, letter in enumerate(p.letters):
+            letters[perm[q]] = letter
+        return "".join(letters)
+
+    lines = [f"n {code.n}"]
+    lines += [f"generator {moved(g)}" for g in code.generators]
+    lines += [f"logicalX {moved(code.logical_x)}", f"logicalZ {moved(code.logical_z)}"]
+    lines += [f"recovery {moved(r)}" for r in code.recovery]
+    return "\n".join(lines) + "\n"
+
+
+def test_closed_form_c_m_for_a_renamed_permuted_five_qubit_code(five_qubit):
+    mine = parse_code_spec(spec_text(five_qubit, (3, 0, 4, 1, 2)), name="mine")
+    bound = general_bound_check(mine)
+    assert bound.c_m_source == "closed-form"
+    assert bound.value == general_bound_check(five_qubit).value == 0.014398953882939288
+
+
+def test_grid_c_m_for_another_code_named_five_qubit(steane):
+    impostor = parse_code_spec(spec_text(steane, range(steane.n)), name="five-qubit")
+    bound = general_bound_check(impostor)
+    assert bound.c_m_source == "grid"
+    assert bound.value == general_bound_check(steane).value
