@@ -12,6 +12,7 @@ a constructor constraint.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,12 +162,16 @@ def is_valid_channel(channel, tol: float = 1e-10) -> bool:
     return bool(eigenvalues[0] >= -tol)
 
 
+_EYE = np.eye(4)
+
+
 def max_entry_distance(channel) -> float:
-    """Largest |entry| of (T - Id) in Stokes form."""
+    """Largest |entry| of (T - Id) in Stokes form; NaN if any entry is NaN."""
     if isinstance(channel, DiagonalChannel):
-        return max(abs(1.0 - channel.x), abs(1.0 - channel.y), abs(1.0 - channel.z))
-    t = as_stokes(channel)
-    return float(np.max(np.abs(t.matrix - np.eye(4))))
+        dx, dy, dz = abs(1.0 - channel.x), abs(1.0 - channel.y), abs(1.0 - channel.z)
+        # the deficits are non-negative, so their sum is NaN only if one of them is
+        return math.nan if math.isnan(dx + dy + dz) else max(dx, dy, dz)
+    return float(np.abs(channel.matrix - _EYE).max())
 
 
 def random_cptp(rng: np.random.Generator, kraus_rank: int = 4) -> StokesChannel:
@@ -275,6 +280,8 @@ def parse_channel_literal(text: str):
         values = [float(v) for v in rest.split(",")] if rest else []
     except ValueError:
         raise ValueError(f"non-numeric channel parameter in {text!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"non-finite channel parameter in {text!r}")
     if head == "depol":
         if len(values) != 1:
             raise ValueError("depol takes exactly one parameter")

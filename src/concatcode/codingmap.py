@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -51,21 +51,42 @@ class DiagonalMapPolynomial:
     `components[s]` lists monomials coeff * x^a y^b z^c in ascending
     lexicographic (a, b, c) order; the implicit identity component is the
     constant 1.  Total degree never exceeds `n`.
+
+    `float_terms` is the float form that `apply` evaluates: per component
+    X, Y, Z, the tuple of (float(coeff), a, b, c).  It is derived from
+    `components` on construction and takes no part in equality or repr.
+    Python computes Fraction * float as float(coeff) * float, so `apply`
+    gives the same bits as evaluating the exact monomials on floats.
     """
 
     n: int
     components: dict[str, tuple[Monomial, ...]]
+    float_terms: tuple[tuple[tuple[float, int, int, int], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        terms = tuple(
+            tuple((float(m.coeff), m.a, m.b, m.c) for m in self.components[sigma])
+            for sigma in COMPONENTS
+        )
+        object.__setattr__(self, "float_terms", terms)
 
     def evaluate(self, sigma: str, x, y, z):
         """Evaluate one component; exact when the inputs are Fractions."""
         return _monomial_sum(self.components[sigma], x, y, z)
 
     def apply(self, t: DiagonalChannel) -> DiagonalChannel:
-        x, y, z = t.as_tuple()
+        """Image of a diagonal channel, in floating point.
+
+        Raises OverflowError where a power leaves the float range.
+        """
+        x, y, z = float(t.x), float(t.y), float(t.z)
         return DiagonalChannel(
-            float(self.evaluate("X", x, y, z)),
-            float(self.evaluate("Y", x, y, z)),
-            float(self.evaluate("Z", x, y, z)),
+            *(
+                sum((c * x**a * y**b * z**e for c, a, b, e in terms), 0.0)
+                for terms in self.float_terms
+            )
         )
 
     def derivative(self, sigma: str, var: str) -> tuple[Monomial, ...]:
@@ -271,14 +292,10 @@ def c_constants(code: StabilizerCode, seed: int = 0) -> CConstants:
         total = sum(abs(beta) for _, _, beta in code.coefficient_table(sigma))
         c_n = max(c_n, (1 << code.m) * total)
 
-    poly = diagonal_map(code)
-    compiled = {}
-    for sigma in COMPONENTS:
-        mono = poly.components[sigma]
-        exps = np.array([[m.a, m.b, m.c] for m in mono], dtype=np.int64)
-        coeffs = np.array([float(m.coeff) for m in mono])
-        compiled[sigma] = (exps, coeffs)
-
+    arrays = [
+        (np.array([c for c, *_ in terms]), np.array([e for _, *e in terms], dtype=np.int64))
+        for terms in diagonal_map(code).float_terms
+    ]
     rng = np.random.default_rng(seed)
     directions = [np.array(v, dtype=float) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
     while len(directions) < 3 + RANDOM_DIRECTIONS:
@@ -290,8 +307,7 @@ def c_constants(code: StabilizerCode, seed: int = 0) -> CConstants:
     c_m = 0.0
     for u in directions:
         xyz = 1.0 - eps[None, :] * u[:, None]  # (3, grid)
-        for sigma in COMPONENTS:
-            exps, coeffs = compiled[sigma]
+        for coeffs, exps in arrays:
             powers = xyz[None, :, :] ** exps[:, :, None]  # (mono, 3, grid)
             values = coeffs @ powers.prod(axis=1)
             ratio = np.abs(values - 1.0) / eps**2

@@ -47,6 +47,8 @@ class RaySpec:
     direction: tuple[float, float, float]
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in self.direction):
+            raise ValueError(f"ray direction must be finite, got {self.direction}")
         if max(abs(v) for v in self.direction) <= 0.0:
             raise ValueError("ray direction must be nonzero")
 
@@ -79,7 +81,13 @@ def iterate(
     Diagonal inputs iterate through the exact polynomial reduction,
     general inputs through the full 4x4 map.  Divergence is a recorded
     outcome, not an error: the orbit ends, unconverged, before the first
-    level that overflows or has a non-finite entry.
+    level that overflows or has a non-finite entry, and an input with a
+    NaN entry ends it at level 0.
+
+    A diagonal orbit whose new level equals the previous one, without
+    having converged, sits at a fixed point of the float map: every level
+    up to k_max repeats it, so those levels are filled in without
+    evaluating the map again.
     """
     diagonal = isinstance(t0, DiagonalChannel)
     poly = diagonal_map(code) if diagonal else None
@@ -89,20 +97,20 @@ def iterate(
     k = 0
     while not converged and k < k_max:
         try:
-            state = poly.apply(state) if diagonal else general_map(code, state)
+            new = poly.apply(state) if diagonal else general_map(code, state)
         except OverflowError:
             break
-        dist = max_entry_distance(state)
-        # Python's max can hide a NaN entry; np.max in the Stokes distance cannot
-        if diagonal:
-            finite = math.isfinite(state.x) and math.isfinite(state.y) and math.isfinite(state.z)
-        else:
-            finite = math.isfinite(dist)
-        if not finite:
+        dist = max_entry_distance(new)
+        if not math.isfinite(dist):
+            break
+        converged = dist < tol
+        if diagonal and not converged and new == state:
+            levels.extend(OrbitLevel(j, new, dist) for j in range(k + 1, k_max + 1))
+            k = k_max
             break
         k += 1
+        state = new
         levels.append(OrbitLevel(k, state, dist))
-        converged = dist < tol
     return OrbitRecord(levels=tuple(levels), converged=converged, iterations_used=k)
 
 

@@ -1,5 +1,7 @@
 """Stokes channels: named families, validity, distances and estimators."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -98,6 +100,9 @@ def test_max_entry_distance():
     assert max_entry_distance(StokesChannel.identity()) == 0.0
     assert max_entry_distance(depolarizing(0.3)) == pytest.approx(0.3)
     assert max_entry_distance(dephasing(0.25)) == pytest.approx(0.25)
+    for entries in ((math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.nan)):
+        assert math.isnan(max_entry_distance(DiagonalChannel(*entries)))
+        assert math.isnan(max_entry_distance(DiagonalChannel(*entries).to_stokes()))
 
 
 def test_kraus_choi_roundtrip():
@@ -205,7 +210,8 @@ def test_parse_literals():
 
 @pytest.mark.parametrize(
     "bad",
-    ["depol", "depol:0.1,0.2", "pauli:0.1", "stokes:1,2,3", "wat:1", "diag:a,b,c"],
+    ["depol", "depol:0.1,0.2", "pauli:0.1", "stokes:1,2,3", "wat:1", "diag:a,b,c",
+     "diag:1,nan,1", "diag:inf,1,1"],
 )
 def test_parse_literal_errors(bad):
     with pytest.raises(ValueError):

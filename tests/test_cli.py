@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+import concatcode.cli
 import concatcode.dynamics
 from concatcode.cli import main
 
@@ -256,6 +257,27 @@ def test_bad_counts_and_tolerances_rejected_at_parse_time(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: argument --")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orbit", "five-qubit", "--channel", "diag:1,nan,1"],
+        ["map", "five-qubit", "--channel", "stokes:1,0,0,0,0,inf,0,0,0,0,1,0,0,0,0,1"],
+        ["threshold", "five-qubit", "--ray", "ray:nan,1,1"],
+    ],
+)
+def test_non_finite_inputs_rejected_before_any_work(capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran before rejecting its input")
+
+    monkeypatch.setattr(concatcode.cli, "iterate", no_work)
+    monkeypatch.setattr(concatcode.cli, "threshold", no_work)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
 
 
 def test_zero_levels_still_accepted(capsys):

@@ -133,6 +133,17 @@ def test_apply_diagonal_examples():
         assert poly.apply(DiagonalChannel.identity()).as_tuple() == (1, 1, 1)
 
 
+@pytest.mark.parametrize("name", builtin_names())
+def test_apply_gives_the_bits_of_the_exact_monomials_on_floats(name):
+    poly = diagonal_map(get_code(name))
+    points = np.random.default_rng(2016).uniform(-1.2, 1.2, size=(20000, 3)).tolist()
+    for x, y, z in points:
+        got = poly.apply(DiagonalChannel(x, y, z)).as_tuple()
+        assert got == tuple(float(poly.evaluate(s, x, y, z)) for s in ("X", "Y", "Z"))
+    with pytest.raises(OverflowError):
+        poly.apply(DiagonalChannel(1e200, 1, 1))
+
+
 def test_json_export_canonical_order():
     obj = diagonal_map(get_code("five-qubit")).to_json_obj()
     assert list(obj) == ["X", "Y", "Z"]

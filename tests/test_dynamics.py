@@ -7,6 +7,9 @@ import pytest
 
 from concatcode import (
     DiagonalChannel,
+    DiagonalMapPolynomial,
+    OrbitLevel,
+    OrbitRecord,
     RaySpec,
     StokesChannel,
     depolarizing,
@@ -19,6 +22,7 @@ from concatcode import (
     iterate,
     jacobian_fd,
     jacobian_fd_full,
+    max_entry_distance,
     parse_code_spec,
     threshold,
 )
@@ -72,6 +76,42 @@ def test_diverging_orbit_ends_before_the_first_non_finite_level(five_qubit):
         for level in record.levels:
             entries = level.channel.matrix if isinstance(t0, StokesChannel) else level.channel.as_tuple()
             assert np.isfinite(entries).all()
+
+
+def test_nan_input_is_an_unconverged_orbit(five_qubit):
+    record = iterate(five_qubit, DiagonalChannel(1.0, math.nan, 1.0))
+    assert not record.converged
+    assert record.iterations_used == 0
+    assert len(record.levels) == 1
+    assert math.isnan(record.levels[0].distance)
+
+
+@pytest.mark.parametrize(
+    "t0, evaluations",
+    # depol 0.3 reaches (0.0, 0.0, 0.0) at level 10; -0.0 maps to 0.0, which equals it
+    [(depolarizing(0.3), 10), (DiagonalChannel(-0.0, -0.0, -0.0), 1)],
+)
+def test_orbit_at_a_float_fixed_point_matches_evaluating_every_level(
+    five_qubit, monkeypatch, t0, evaluations
+):
+    poly = diagonal_map(five_qubit)
+    state, levels = t0, [OrbitLevel(0, t0, max_entry_distance(t0))]
+    for k in range(1, 61):
+        state = poly.apply(state)
+        levels.append(OrbitLevel(k, state, max_entry_distance(state)))
+    calls = []
+    original = DiagonalMapPolynomial.apply
+
+    def counting(self, t):
+        calls.append(t)
+        return original(self, t)
+
+    monkeypatch.setattr(DiagonalMapPolynomial, "apply", counting)
+    record = iterate(five_qubit, t0)
+    assert record == OrbitRecord(levels=tuple(levels), converged=False, iterations_used=60)
+    bits = [[v.hex() for v in l.channel.as_tuple()] for l in levels]
+    assert [[v.hex() for v in l.channel.as_tuple()] for l in record.levels] == bits
+    assert len(calls) == evaluations
 
 
 def test_general_orbit_stokes_input(five_qubit):
