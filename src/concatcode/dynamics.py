@@ -84,10 +84,8 @@ def iterate(
     level that overflows or has a non-finite entry, and an input with a
     NaN entry ends it at level 0.
 
-    A diagonal orbit whose new level equals the previous one, without
-    having converged, sits at a fixed point of the float map: every level
-    up to k_max repeats it, so those levels are filled in without
-    evaluating the map again.
+    An unconverged diagonal orbit on a fixed point or 2-cycle of the float
+    map has its remaining levels filled in by repetition, not evaluation.
     """
     diagonal = isinstance(t0, DiagonalChannel)
     poly = diagonal_map(code) if diagonal else None
@@ -104,13 +102,21 @@ def iterate(
         if not math.isfinite(dist):
             break
         converged = dist < tol
-        if diagonal and not converged and new == state:
-            levels.extend(OrbitLevel(j, new, dist) for j in range(k + 1, k_max + 1))
-            k = k_max
-            break
+        period = 0
+        if diagonal and not converged:
+            # equal channels have equal distances, a cheaper first test
+            if dist == levels[k].distance and new == state:
+                period = 1
+            elif k and dist == levels[k - 1].distance and new == levels[k - 1].channel:
+                period = 2
         k += 1
         state = new
         levels.append(OrbitLevel(k, state, dist))
+        if period:
+            for j in range(k + 1, k_max + 1):
+                level = levels[j - period]
+                levels.append(OrbitLevel(j, level.channel, level.distance))
+            k = k_max
     return OrbitRecord(levels=tuple(levels), converged=converged, iterations_used=k)
 
 

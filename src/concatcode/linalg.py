@@ -64,27 +64,15 @@ def stokes_from_kraus(kraus) -> np.ndarray:
     return out
 
 
-def apply_kraus_on_qubit(rho: np.ndarray, kraus, qubit: int, nq: int) -> np.ndarray:
-    """rho -> sum_e K_e rho K_e^dag on one qubit of an nq-qubit operator."""
-    dim = 1 << nq
-    t = rho.reshape((2,) * (2 * nq))
-    out = np.zeros_like(t)
-    for k in kraus:
-        s = np.tensordot(k, t, axes=([1], [qubit]))
-        s = np.moveaxis(s, 0, qubit)
-        s = np.tensordot(k.conj(), s, axes=([1], [nq + qubit]))
-        s = np.moveaxis(s, 0, nq + qubit)
-        out += s
-    return out.reshape(dim, dim)
-
-
 def apply_map_on_qubit(rho: np.ndarray, m: np.ndarray, qubit: int, nq: int) -> np.ndarray:
-    """Apply a process tensor M[a,b,c,d] to one qubit of an nq-qubit operator."""
-    dim = 1 << nq
-    t = rho.reshape((2,) * (2 * nq))
-    t = np.tensordot(m, t, axes=([2, 3], [qubit, nq + qubit]))
-    t = np.moveaxis(t, (0, 1), (qubit, nq + qubit))
-    return t.reshape(dim, dim)
+    """Apply a process tensor M[a,b,c,d] to one qubit of an nq-qubit operator,
+    or of every operator in a stack along leading axes."""
+    batch = rho.shape[:-2]
+    row, col = len(batch) + qubit, len(batch) + nq + qubit
+    t = rho.reshape(batch + (2,) * (2 * nq))
+    t = np.tensordot(m, t, axes=([2, 3], [row, col]))
+    t = np.moveaxis(t, (0, 1), (row, col))
+    return t.reshape(rho.shape)
 
 
 def random_pure_state(rng: np.random.Generator, dim: int) -> np.ndarray:

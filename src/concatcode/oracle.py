@@ -1,14 +1,14 @@
 """Dense density-matrix reference simulation of one coding level.
 
 Everything here works on explicit 2^n-dimensional matrices: codewords
-come from the codespace projector, noise is applied qubit by qubit
-through Kraus operators, recovery conjugates by the recovery operators
-behind dense syndrome projectors, and decoding reads the logical 2x2
-block out.  No Pauli-algebra shortcut of the polynomial code path is
-reused, which makes `extract_stokes` an independent check of
-`general_map`.
-
-Bounded to n <= 7 physical qubits.
+come from the codespace projector, noise acts qubit by qubit through the
+process tensor of the channel's Kraus operators, and recovery plus
+decoding is one sum over the decoded recovery operators W_j = E^dag R_j P_j
+(encoder E, recovery R_j, syndrome projector P_j).  W_j^dag is built by
+applying the dense factors (I +- g)/2 of each generator g to R_j^dag E,
+so no syndrome projector is formed.  No Pauli-algebra shortcut of the
+polynomial code path is reused, which makes `extract_stokes` an
+independent check of `general_map`.  Bounded to n <= 9 physical qubits.
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ import numpy as np
 
 from . import linalg
 from .channel import StokesChannel, as_stokes
+from .pauli import LETTERS
 from .stabilizer import CapabilityError, StabilizerCode, per_code
 
-MAX_DENSE_QUBITS = 7
+MAX_DENSE_QUBITS = 9
 
 
 @dataclass(frozen=True)
@@ -35,55 +36,56 @@ class LogicalBasis:
 @dataclass(frozen=True)
 class _DenseParts:
     basis: LogicalBasis
-    encoder: np.ndarray  # (2^n, 2) isometry
-    projectors: tuple[np.ndarray, ...]  # syndrome projectors, index = syndrome
-    corrections: np.ndarray  # stacked R_j P_j, shape (2^m, 2^n, 2^n)
+    encoder: np.ndarray  # (2^n, 2) isometry E
+    decoders: np.ndarray  # stacked W_j = E^dag R_j P_j, shape (2^m, 2, 2^n)
 
 
-@per_code
-def _dense_parts(code: StabilizerCode) -> _DenseParts:
+def _dense_generators(code: StabilizerCode) -> list[np.ndarray]:
+    """Dense generator matrices, for codes within the size bound only."""
     if code.n > MAX_DENSE_QUBITS:
         raise CapabilityError(
             f"dense simulation is limited to n <= {MAX_DENSE_QUBITS}, code has n = {code.n}"
         )
+    return [linalg.pauli_dense(g) for g in code.generators]
+
+
+def _project(generators, x: np.ndarray, syndromes) -> np.ndarray:
+    """Apply the syndrome projector prod_i (I + (-1)^{bit i} g_i)/2 to the
+    columns of x; `syndromes` gives each column's syndrome (broadcast)."""
+    for i, g in enumerate(generators):
+        sign = 1 - 2 * ((syndromes >> i) & 1)
+        x = (x + sign * (g @ x)) / 2.0
+    return x
+
+
+@per_code
+def _dense_parts(code: StabilizerCode) -> _DenseParts:
+    generators = _dense_generators(code)
     dim = 1 << code.n
-    eye = np.eye(dim, dtype=complex)
 
-    projector = np.zeros((dim, dim), dtype=complex)
-    for s in code.group():
-        projector += linalg.pauli_dense(s)
-    projector /= len(code.group())
-
-    z_bar = linalg.pauli_dense(code.logical_z)
-    x_bar = linalg.pauli_dense(code.logical_x)
-    plus_z = projector @ (eye + z_bar) / 2.0
+    plus_z = _project(generators, (np.eye(dim) + linalg.pauli_dense(code.logical_z)) / 2.0, 0)
     norms = np.linalg.norm(plus_z, axis=0)
     columns = np.nonzero(norms > 1e-8)[0]
     if len(columns) == 0:
         raise ValueError("codespace projector is zero; the code is invalid")
     ket0 = plus_z[:, columns[0]] / norms[columns[0]]
-    ket1 = x_bar @ ket0
-    basis = LogicalBasis(ket0=ket0, ket1=ket1)
+    ket1 = linalg.pauli_dense(code.logical_x) @ ket0
     encoder = np.stack([ket0, ket1], axis=1)
 
-    generators_dense = [linalg.pauli_dense(g) for g in code.generators]
-    projectors = []
-    for syndrome in range(1 << code.m):
-        p = eye
-        for i, g in enumerate(generators_dense):
-            sign = -1.0 if (syndrome >> i) & 1 else 1.0
-            p = p @ (eye + sign * g) / 2.0
-        projectors.append(p)
+    # R_j^dag E for all j, factor by factor; letters are hermitian, phases conjugate
     recoveries = code.recovery_by_syndrome()
-    corrections = np.stack(
-        [linalg.pauli_dense(r) @ p for r, p in zip(recoveries, projectors)]
-    )
-    return _DenseParts(
-        basis=basis,
-        encoder=encoder,
-        projectors=tuple(projectors),
-        corrections=corrections,
-    )
+    count = len(recoveries)
+    stack = np.conj([r.phase for r in recoveries])[:, None, None] * encoder
+    for q in range(code.n):
+        letters = linalg.PAULI_MATS[[LETTERS.index(r.letters[q]) for r in recoveries]]
+        split = stack.reshape(count, 1 << q, 2, -1)  # qubit q on its own axis
+        stack = np.einsum("jab,jcbd->jcad", letters, split).reshape(stack.shape)
+
+    # W_j^dag = P_j R_j^dag E, with every syndrome's two columns side by side
+    columns_by_syndrome = stack.transpose(1, 0, 2).reshape(dim, 2 * count)
+    w_dag = _project(generators, columns_by_syndrome, np.repeat(np.arange(count), 2))
+    decoders = w_dag.conj().T.reshape(count, 2, dim)
+    return _DenseParts(LogicalBasis(ket0, ket1), encoder, decoders)
 
 
 def build_logical_basis(code: StabilizerCode) -> LogicalBasis:
@@ -95,9 +97,30 @@ def build_logical_basis(code: StabilizerCode) -> LogicalBasis:
     return _dense_parts(code).basis
 
 
+@per_code
 def syndrome_projectors(code: StabilizerCode) -> tuple[np.ndarray, ...]:
-    """Dense projectors onto the syndrome subspaces, indexed by syndrome."""
-    return _dense_parts(code).projectors
+    """Dense projectors onto the syndrome subspaces, indexed by syndrome;
+    built on first call only, the simulation never forms them."""
+    generators = _dense_generators(code)
+    eye = np.eye(1 << code.n, dtype=complex)
+    return tuple(_project(generators, eye, j) for j in range(1 << code.m))
+
+
+def _simulate_batch(code: StabilizerCode, channel, rhos: np.ndarray) -> np.ndarray:
+    """Encode / product noise / recover / decode a stack of 2x2 operators."""
+    parts = _dense_parts(code)
+    t = as_stokes(channel)
+    if not t.is_trace_preserving():
+        raise ValueError("the dense simulation requires a trace-preserving channel")
+    kraus = np.array(t.kraus_operators(cutoff=1e-12))
+    process = np.einsum("eac,ebd->abcd", kraus, kraus.conj())
+
+    noisy = parts.encoder @ rhos @ parts.encoder.conj().T
+    for q in range(code.n):
+        noisy = linalg.apply_map_on_qubit(noisy, process, q, code.n)
+    w = parts.decoders
+    half = (w.reshape(-1, w.shape[-1]) @ noisy).reshape(len(rhos), *w.shape)
+    return np.tensordot(half, w.conj(), axes=([1, 3], [0, 2]))
 
 
 def simulate(code: StabilizerCode, channel, rho0: np.ndarray) -> np.ndarray:
@@ -107,39 +130,22 @@ def simulate(code: StabilizerCode, channel, rho0: np.ndarray) -> np.ndarray:
     Kraus operators come from the Choi eigendecomposition (eigenvalue
     cutoff 1e-12) and act qubit by qubit.
     """
-    parts = _dense_parts(code)
-    t = as_stokes(channel)
-    if not t.is_trace_preserving():
-        raise ValueError("the dense simulation requires a trace-preserving channel")
-    kraus = t.kraus_operators(cutoff=1e-12)
-
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (2, 2):
         raise ValueError(f"expected a 2x2 operator, got shape {rho0.shape}")
-    encoded = parts.encoder @ rho0 @ parts.encoder.conj().T
-    noisy = encoded
-    for q in range(code.n):
-        noisy = linalg.apply_kraus_on_qubit(noisy, kraus, q, code.n)
-    sandwich = parts.corrections @ noisy @ parts.corrections.conj().transpose(0, 2, 1)
-    recovered = sandwich.sum(axis=0)
-    return parts.encoder.conj().T @ recovered @ parts.encoder
+    return _simulate_batch(code, channel, rho0[None])[0]
 
 
 def extract_stokes(code: StabilizerCode, channel) -> StokesChannel:
-    """Effective Stokes matrix of one coding level, from four dense runs.
+    """Effective Stokes matrix of one coding level, all four inputs in one dense run.
 
     Column t of the result is the Pauli expansion of simulate(P_t / 2).
     """
-    out = np.empty((4, 4))
-    for t in range(4):
-        rho_f = simulate(code, channel, linalg.PAULI_MATS[t] / 2.0)
-        column = np.array(
-            [np.trace(linalg.PAULI_MATS[s] @ rho_f) for s in range(4)]
-        )
-        if np.max(np.abs(column.imag)) > 1e-9:
-            raise RuntimeError("effective channel has a non-real Stokes entry")
-        out[:, t] = column.real
-    return StokesChannel(out)
+    images = _simulate_batch(code, channel, linalg.PAULI_MATS / 2.0)
+    out = np.einsum("sab,tba->st", linalg.PAULI_MATS, images)
+    if np.max(np.abs(out.imag)) > 1e-9:
+        raise RuntimeError("effective channel has a non-real Stokes entry")
+    return StokesChannel(out.real)
 
 
 def max_oracle_deviation(code: StabilizerCode, trials: int, seed: int = 0) -> float:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from concatcode import get_code
@@ -21,3 +23,19 @@ def steane():
 @pytest.fixture(scope="session")
 def shor():
     return get_code("shor")
+
+
+@pytest.fixture
+def ten_qubit_spec(tmp_path):
+    """Spec file of the 10-qubit bit-flip repetition code, one size above
+    what the dense oracle accepts."""
+    n = 10
+    lines = [f"n {n}", "logicalX " + "X" * n, "logicalZ Z" + "I" * (n - 1)]
+    for i in range(n - 1):
+        lines.append("generator " + "I" * i + "ZZ" + "I" * (n - 2 - i))
+    # flips on qubits 1..n-1 have pairwise distinct syndromes
+    for flips in itertools.product("IX", repeat=n - 1):
+        lines.append("recovery I" + "".join(flips))
+    path = tmp_path / "repetition10.code"
+    path.write_text("\n".join(lines) + "\n")
+    return path

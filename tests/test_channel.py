@@ -157,6 +157,13 @@ def test_estimate_depolarizing_value():
         assert est >= eps - 1e-6  # entrywise lower bound from the sandwich
 
 
+@pytest.mark.parametrize("probs", [(0.1, 0.0, 0.0), (0.05, 0.02, 0.1), (0.2, 0.1, 0.3)])
+def test_estimate_is_exact_on_pauli_channels(probs):
+    # for a Pauli channel, ||T - Id||_diamond = 2 (1 - p_I) = 2 (p_X + p_Y + p_Z)
+    est = diamond_distance_estimate(from_pauli_probs(*probs), seed=0, restarts=20)
+    assert est == pytest.approx(2.0 * sum(probs), abs=1e-12)
+
+
 def test_estimate_full_dephasing():
     est = diamond_distance_estimate(dephasing(1.0), seed=0, restarts=60)
     assert 1.0 - 1e-9 <= est <= 2.0 + 1e-9

@@ -196,10 +196,12 @@ def test_oracle_check_pass(capsys):
     assert payload["max_deviation"] <= 1e-10
 
 
-def test_oracle_check_shor_capability_error(capsys):
-    code, _, err = run(capsys, "oracle", "check", "shor")
+def test_oracle_check_shor_capability_error(capsys, ten_qubit_spec):
+    # Shor (n = 9) is now within the dense limit; n = 10 is the first size past it
+    code, _, err = run(capsys, "oracle", "check", str(ten_qubit_spec))
     assert code == 2
-    assert "n <= 7" in err
+    assert "n <= 9" in err
+    assert err.count("\n") == 1
 
 
 def test_bound_command(capsys):

@@ -94,7 +94,18 @@ def test_nan_input_is_an_unconverged_orbit(five_qubit):
 def test_orbit_at_a_float_fixed_point_matches_evaluating_every_level(
     five_qubit, monkeypatch, t0, evaluations
 ):
-    poly = diagonal_map(five_qubit)
+    _assert_filled_orbit_matches_every_level(five_qubit, monkeypatch, t0, evaluations)
+
+
+def test_orbit_on_a_float_2_cycle_matches_evaluating_every_level(shor, monkeypatch):
+    # from level 10 the orbit alternates between z = 0.9999999999999997 and
+    # 0.9999999999999999 (x = y = 0); level 12 repeats level 10
+    t0 = DiagonalChannel(0.75, 0.75, 0.75)
+    _assert_filled_orbit_matches_every_level(shor, monkeypatch, t0, 12)
+
+
+def _assert_filled_orbit_matches_every_level(code, monkeypatch, t0, evaluations):
+    poly = diagonal_map(code)
     state, levels = t0, [OrbitLevel(0, t0, max_entry_distance(t0))]
     for k in range(1, 61):
         state = poly.apply(state)
@@ -107,7 +118,7 @@ def test_orbit_at_a_float_fixed_point_matches_evaluating_every_level(
         return original(self, t)
 
     monkeypatch.setattr(DiagonalMapPolynomial, "apply", counting)
-    record = iterate(five_qubit, t0)
+    record = iterate(code, t0)
     assert record == OrbitRecord(levels=tuple(levels), converged=False, iterations_used=60)
     bits = [[v.hex() for v in l.channel.as_tuple()] for l in levels]
     assert [[v.hex() for v in l.channel.as_tuple()] for l in record.levels] == bits

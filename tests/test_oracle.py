@@ -15,12 +15,13 @@ from concatcode import (
     from_pauli_probs,
     general_map,
     get_code,
+    load_code,
     max_oracle_deviation,
     random_cptp,
     simulate,
 )
 from concatcode.linalg import PAULI_MATS, pauli_dense
-from concatcode.oracle import syndrome_projectors
+from concatcode.oracle import _dense_parts, syndrome_projectors
 from concatcode.pauli import eta
 
 DENSE_CODES = ("bitflip3", "five-qubit", "steane")
@@ -77,6 +78,17 @@ def test_syndrome_projectors_match_signed_stabilizer_sum(name):
         np.testing.assert_allclose(p, summed, atol=1e-12)
 
 
+@pytest.mark.parametrize("name", DENSE_CODES)
+def test_decoders_match_full_projector_product(name):
+    # W_j = E^dag R_j P_j, here from full dense matrices
+    code = get_code(name)
+    parts = _dense_parts(code)
+    recs = code.recovery_by_syndrome()
+    for j, p in enumerate(syndrome_projectors(code)):
+        expected = parts.encoder.conj().T @ pauli_dense(recs[j]) @ p
+        np.testing.assert_allclose(parts.decoders[j], expected, atol=1e-12)
+
+
 def test_identity_channel_roundtrip(five_qubit):
     for t in range(4):
         rho0 = PAULI_MATS[t] / 2
@@ -112,6 +124,10 @@ def test_oracle_equivalence_sample(name):
     assert max_oracle_deviation(get_code(name), trials=trials, seed=5) <= 1e-10
 
 
+def test_oracle_equivalence_shor(shor):
+    assert max_oracle_deviation(shor, trials=2, seed=5) <= 1e-10
+
+
 def test_trace_preservation_and_positivity(five_qubit):
     rng = np.random.default_rng(9)
     for _ in range(5):
@@ -125,9 +141,10 @@ def test_trace_preservation_and_positivity(five_qubit):
         assert np.linalg.eigvalsh(rho_f).min() >= -1e-10
 
 
-def test_oracle_rejects_large_codes(shor):
+def test_oracle_rejects_large_codes(ten_qubit_spec):
+    # Shor (n = 9) is now within the dense limit; n = 10 is the first size past it
     with pytest.raises(CapabilityError):
-        extract_stokes(shor, depolarizing(0.1))
+        extract_stokes(load_code(ten_qubit_spec), depolarizing(0.1))
 
 
 def test_oracle_rejects_non_cp(five_qubit):
