@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import DiagonalChannel, StokesChannel
-from .stabilizer import SIGMAS, CapabilityError, StabilizerCode, per_code
+from .stabilizer import SIGMAS, CapabilityError, StabilizerCode, mask_arrays, per_code
 
 COMPONENTS = ("X", "Y", "Z")
 
@@ -38,10 +38,6 @@ class Monomial(NamedTuple):
     b: int
     c: int
     coeff: Fraction
-
-
-def _monomial_sum(monomials, x, y, z):
-    return sum(m.coeff * x**m.a * y**m.b * z**m.c for m in monomials)
 
 
 @dataclass(frozen=True)
@@ -74,7 +70,7 @@ class DiagonalMapPolynomial:
 
     def evaluate(self, sigma: str, x, y, z):
         """Evaluate one component; exact when the inputs are Fractions."""
-        return _monomial_sum(self.components[sigma], x, y, z)
+        return sum(m.coeff * x**m.a * y**m.b * z**m.c for m in self.components[sigma])
 
     def apply(self, t: DiagonalChannel) -> DiagonalChannel:
         """Image of a diagonal channel, in floating point.
@@ -88,27 +84,6 @@ class DiagonalMapPolynomial:
                 for terms in self.float_terms
             )
         )
-
-    def derivative(self, sigma: str, var: str) -> tuple[Monomial, ...]:
-        """Exact partial derivative of one component, as monomials."""
-        pos = "xyz".index(var)
-        out = []
-        for m in self.components[sigma]:
-            e = [m.a, m.b, m.c]
-            if e[pos] == 0:
-                continue
-            coeff = m.coeff * e[pos]
-            e[pos] -= 1
-            out.append(Monomial(e[0], e[1], e[2], coeff))
-        return tuple(sorted(out, key=lambda mo: (mo.a, mo.b, mo.c)))
-
-    def jacobian_at(self, x, y, z) -> np.ndarray:
-        """Analytic 3x3 Jacobian (rows X, Y, Z; columns d/dx, d/dy, d/dz)."""
-        out = np.empty((3, 3))
-        for r, sigma in enumerate(COMPONENTS):
-            for c, var in enumerate("xyz"):
-                out[r, c] = float(_monomial_sum(self.derivative(sigma, var), x, y, z))
-        return out
 
     def depolarizing_line(self, sigma: str) -> tuple[Fraction, ...]:
         """Coefficients (degree-ascending) of the restriction x = y = z = t."""
@@ -204,36 +179,38 @@ def compiled_map(code: StabilizerCode) -> CompiledMap:
     n, size, base = code.n, 1 << code.m, code.n + 1
     if base**16 > np.iinfo(np.int64).max:
         raise CapabilityError(f"the compiled coding map is limited to n <= 14, code has n = {n}")
-    letters, alpha, weight = {}, {}, {}
+    letters, alpha, weight, col_digits = {}, {}, {}, {}
     for sigma in SIGMAS:
         table = code.coefficient_table(sigma)
-        masks = np.array([[p.x_mask, p.z_mask] for p, _, _ in table]).T
-        x, z = masks[:, :, None] >> np.arange(n) & 1
+        x, z = mask_arrays([p for p, _, _ in table])[:, :, None] >> np.arange(n) & 1
         letters[sigma] = (x ^ z) + 2 * z  # I, X, Y, Z = 0, 1, 2, 3
+        col_digits[sigma] = (base ** letters[sigma]).T
         alpha[sigma] = np.array([a for _, a, _ in table])
         weight[sigma] = np.array([b.numerator * size // b.denominator for _, _, b in table])
     step = max(1, 4096 // size)  # rows per block of about 4096 pairs merged at once
     entries, factors, numerators = [], [], []
     for (r, s), (c, t) in itertools.product(enumerate(SIGMAS), repeat=2):
         live = np.flatnonzero(weight[s])
-        acc_keys, acc_pairs, acc_nums = np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
+        acc_keys = acc_pairs = acc_nums = np.empty(0, np.int64)
         for rows in np.split(live, range(step, len(live), step)):
             # count vectors as int64 keys: digit 4 a + b (radix n+1) counts letters (a, b)
-            block_keys = (base ** (4 * letters[s][rows]) @ base ** letters[t].T).ravel()
+            block_keys = (base ** (4 * letters[s][rows]) @ col_digits[t]).ravel()
             block_pairs = (size * rows[:, None] + np.arange(size)).ravel()
             block_nums = np.outer(weight[s][rows], alpha[t]).ravel()
-            acc_keys, first, inverse = np.unique(
-                np.concatenate([acc_keys, block_keys]), return_index=True, return_inverse=True
-            )
-            acc_pairs = np.concatenate([acc_pairs, block_pairs])[first]
-            acc_nums = np.bincount(inverse, weights=np.concatenate([acc_nums, block_nums]))
+            # merge equal keys; each keeps the pair of its first occurrence
+            keys = np.concatenate([acc_keys, block_keys])
+            order = np.argsort(keys)
+            keys = keys[order]
+            starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+            acc_keys = keys[starts]
+            acc_pairs = np.concatenate([acc_pairs, block_pairs])[np.minimum.reduceat(order, starts)]
+            acc_nums = np.add.reduceat(np.concatenate([acc_nums, block_nums])[order], starts)
         j, i = np.divmod(acc_pairs[acc_nums != 0], size)
         factors.append(4 * letters[s][j] + letters[t][i])
         numerators.append(acc_nums[acc_nums != 0])
         entries.append(np.full(len(j), 4 * r + c))
-    numerators = np.concatenate(numerators).astype(np.int64)
     factors = np.concatenate(factors).T.copy()
-    return CompiledMap(code.m, np.concatenate(entries), factors, numerators)
+    return CompiledMap(code.m, np.concatenate(entries), factors, np.concatenate(numerators))
 
 
 def general_map(code: StabilizerCode, channel: StokesChannel) -> StokesChannel:
@@ -287,15 +264,14 @@ def c_constants(code: StabilizerCode, seed: int = 0) -> CConstants:
     eps in {k/1000 : 1 <= k <= 1000} and deficit directions u consisting
     of the three axes plus 20 seeded random directions scaled to max 1.
     """
-    c_n = Fraction(0)
-    for sigma in SIGMAS:
-        total = sum(abs(beta) for _, _, beta in code.coefficient_table(sigma))
-        c_n = max(c_n, (1 << code.m) * total)
+    # 2^m sum_i |beta_i| = sum_i |f_i|, as beta = f alpha / 2^m with alpha = +-1
+    c_n = Fraction(int(np.abs(code.f_matrix().values).sum(axis=0).max()))
 
-    arrays = [
-        (np.array([c for c, *_ in terms]), np.array([e for _, *e in terms], dtype=np.int64))
-        for terms in diagonal_map(code).float_terms
-    ]
+    terms = diagonal_map(code).float_terms
+    coeffs = [np.array([c for c, *_ in component]) for component in terms]
+    ends = np.cumsum([len(component) for component in terms])
+    exps = np.array([e for component in terms for _, *e in component], dtype=np.int64)
+    degrees = [np.flatnonzero(np.bincount(exps[:, v])) for v in range(3)]
     rng = np.random.default_rng(seed)
     directions = [np.array(v, dtype=float) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
     while len(directions) < 3 + RANDOM_DIRECTIONS:
@@ -305,13 +281,14 @@ def c_constants(code: StabilizerCode, seed: int = 0) -> CConstants:
 
     eps = np.arange(1, GRID_POINTS + 1, dtype=float) / GRID_POINTS
     c_m = 0.0
+    table = np.empty((code.n + 1, 3, GRID_POINTS))  # (degree, 3, grid), rows in use only
     for u in directions:
         xyz = 1.0 - eps[None, :] * u[:, None]  # (3, grid)
-        for coeffs, exps in arrays:
-            powers = xyz[None, :, :] ** exps[:, :, None]  # (mono, 3, grid)
-            values = coeffs @ powers.prod(axis=1)
-            ratio = np.abs(values - 1.0) / eps**2
-            c_m = max(c_m, float(ratio.max()))
+        for v, used in enumerate(degrees):
+            table[used, v] = xyz[v] ** used[:, None]
+        monomials = table[exps, range(3)].prod(axis=1)  # (mono, grid), all components
+        values = np.array([c @ monomials[end - len(c) : end] for c, end in zip(coeffs, ends)])
+        c_m = max(c_m, float((np.abs(values - 1.0) / eps**2).max()))
 
     d, w = code.distance_and_w()
     return CConstants(c_n=c_n, c_m=c_m, bounds_guaranteed=(d >= 3 and w >= 2))

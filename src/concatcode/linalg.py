@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pauli import LETTERS, PauliString
+from .pauli import PHASES, PauliString
 
 PAULI_MATS = np.array(
     [
@@ -18,10 +18,16 @@ PAULI_MATS = np.array(
 
 
 def pauli_dense(p: PauliString) -> np.ndarray:
-    """Dense 2^n x 2^n matrix of a Pauli string, phase included."""
-    out = np.array([[p.phase]], dtype=complex)
-    for c in p.letters:
-        out = np.kron(out, PAULI_MATS[LETTERS.index(c)])
+    """Dense 2^n x 2^n matrix of a Pauli string, phase included.
+
+    With p = i^k X^x Z^z and qubit 0 the most significant index bit,
+    column c has one nonzero, i^k (-1)^|z & c|, at row c ^ x.
+    """
+    x, z = (int(f"{mask:0{p.n}b}"[::-1], 2) for mask in (p.x_mask, p.z_mask))
+    columns = np.arange(1 << p.n)
+    out = np.zeros((1 << p.n, 1 << p.n), dtype=complex)
+    unit = PHASES[(p.phase_exponent + (x & z).bit_count()) % 4]
+    out[columns ^ x, columns] = np.where(np.bitwise_count(columns & z) & 1, -unit, unit)
     return out
 
 
@@ -65,13 +71,10 @@ def stokes_from_kraus(kraus) -> np.ndarray:
 
 
 def apply_map_on_qubit(rho: np.ndarray, m: np.ndarray, qubit: int, nq: int) -> np.ndarray:
-    """Apply a process tensor M[a,b,c,d] to one qubit of an nq-qubit operator,
-    or of every operator in a stack along leading axes."""
-    batch = rho.shape[:-2]
-    row, col = len(batch) + qubit, len(batch) + nq + qubit
-    t = rho.reshape(batch + (2,) * (2 * nq))
-    t = np.tensordot(m, t, axes=([2, 3], [row, col]))
-    t = np.moveaxis(t, (0, 1), (row, col))
+    """Apply a process tensor M[a,b,c,d] to one qubit of an nq-qubit operator."""
+    t = rho.reshape((2,) * (2 * nq))
+    t = np.tensordot(m, t, axes=([2, 3], [qubit, nq + qubit]))
+    t = np.moveaxis(t, (0, 1), (qubit, nq + qubit))
     return t.reshape(rho.shape)
 
 

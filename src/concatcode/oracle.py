@@ -107,20 +107,37 @@ def syndrome_projectors(code: StabilizerCode) -> tuple[np.ndarray, ...]:
 
 
 def _simulate_batch(code: StabilizerCode, channel, rhos: np.ndarray) -> np.ndarray:
-    """Encode / product noise / recover / decode a stack of 2x2 operators."""
+    """Encode / product noise / recover / decode a stack of 2x2 operators.
+
+    Noise acts in Liouville order, each qubit's (row, column) pair one axis
+    of length 4: a 4x4 matmul on the leading pair, then a transposed copy
+    that moves it last.  Two buffers made once per call hold every step.
+    """
     parts = _dense_parts(code)
     t = as_stokes(channel)
     if not t.is_trace_preserving():
         raise ValueError("the dense simulation requires a trace-preserving channel")
     kraus = np.array(t.kraus_operators(cutoff=1e-12))
-    process = np.einsum("eac,ebd->abcd", kraus, kraus.conj())
+    process = np.einsum("eac,ebd->abcd", kraus, kraus.conj()).reshape(4, 4)
 
-    noisy = parts.encoder @ rhos @ parts.encoder.conj().T
-    for q in range(code.n):
-        noisy = linalg.apply_map_on_qubit(noisy, process, q, code.n)
+    n, batch, dim = code.n, len(rhos), 1 << code.n
+    plain = np.empty((batch, dim, dim), dtype=complex)  # axes (batch, rows, columns)
+    pairs = np.empty_like(plain)
+    np.matmul(parts.encoder @ rhos, parts.encoder.conj().T, out=plain)
+    qubits = plain.reshape((batch,) + (2,) * (2 * n))  # row bits, then column bits
+    order = [0] + [axis for q in range(n) for axis in (1 + q, 1 + n + q)]
+    np.copyto(pairs.reshape((2,) * (2 * n) + (batch,)), qubits.transpose(order[1:] + [0]))
+    rest = pairs.size // 4
+    for _ in range(n):
+        np.matmul(process, pairs.reshape(4, rest), out=plain.reshape(4, rest))
+        np.copyto(pairs.reshape(rest, 4), plain.reshape(4, rest).T)
+    np.copyto(qubits, pairs.reshape(qubits.shape).transpose(np.argsort(order)))
+
+    # sum_j W_j rho W_j^dag, conjugated twice so that no conj(W) is formed
     w = parts.decoders
-    half = (w.reshape(-1, w.shape[-1]) @ noisy).reshape(len(rhos), *w.shape)
-    return np.tensordot(half, w.conj(), axes=([1, 3], [0, 2]))
+    half = np.matmul(w.reshape(-1, dim), plain, out=pairs).reshape(batch, *w.shape)
+    np.conjugate(half, out=half)
+    return np.matmul(half, w.transpose(0, 2, 1)).sum(axis=1).conj()
 
 
 def simulate(code: StabilizerCode, channel, rho0: np.ndarray) -> np.ndarray:

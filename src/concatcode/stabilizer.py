@@ -74,6 +74,11 @@ def per_code(build):
     return cached
 
 
+def mask_arrays(paulis: Sequence[PauliString]) -> np.ndarray:
+    """The x masks and the z masks of Pauli strings, as two int64 rows."""
+    return np.array([(p.x_mask, p.z_mask) for p in paulis], dtype=np.int64).reshape(-1, 2).T
+
+
 def syndrome_of(generators: Sequence[PauliString], p: PauliString) -> int:
     """Bit i of the result is set iff p anticommutes with generator i."""
     return sum(1 << i for i, g in enumerate(generators) if eta(p, g) == -1)
@@ -222,19 +227,18 @@ class StabilizerCode:
 
     @per_code
     def f_matrix(self) -> FMatrix:
-        """Exact integer table f[i][sigma] over group index i and letter sigma."""
-        group = self.group()
+        """Exact integer table f[i][sigma] over group index i and letter sigma.
+
+        Group index i is a subset of generators and recovery index j a
+        syndrome, so eta(R_j, S_i) = (-1)^|i & j|: each column of f is the
+        Walsh-Hadamard transform of eta(R_j, logical sigma) over j.
+        """
+        logicals = [self.logical(sigma) for sigma in SIGMAS]
         recs = self.recovery_by_syndrome()
-        size = len(group)
-        rec_vs_stab = np.empty((size, size), dtype=np.int64)
-        for i, s in enumerate(group):
-            for j, r in enumerate(recs):
-                rec_vs_stab[i, j] = eta(r, s)
-        values = np.empty((size, 4), dtype=np.int64)
-        for col, sigma in enumerate(SIGMAS):
-            lg = self.logical(sigma)
-            signs = np.array([eta(r, lg) for r in recs], dtype=np.int64)
-            values[:, col] = rec_vs_stab @ signs
+        values = np.array([[eta(r, lg) for lg in logicals] for r in recs], dtype=np.int64)
+        for k in range(self.m):
+            split = values.reshape(-1, 2, 1 << k, 4)  # bit k of j on axis 1
+            values = np.stack([split[:, 0] + split[:, 1], split[:, 0] - split[:, 1]], 1).reshape(-1, 4)
         values.setflags(write=False)
         return FMatrix(values)
 
@@ -278,30 +282,24 @@ class StabilizerCode:
                 f"brute-force parameter search is limited to n <= "
                 f"{BRUTE_FORCE_MAX_QUBITS}, code has n = {self.n}"
             )
-        n = self.n
-        mask = (1 << n) - 1
-        pop = np.array([v.bit_count() for v in range(1 << n)], dtype=np.int8)
-        member = np.zeros(1 << (2 * n), dtype=bool)
-        for s in self.group():
-            member[s.x_mask | (s.z_mask << n)] = True
+        n, size = self.n, 1 << self.n
+        strings = np.arange(size)
+        pop = np.bitwise_count(strings)
+        # syndromes of the pure X strings and of the pure Z strings; x + z
+        # commutes with every generator iff its two parts have equal syndromes
+        anti = np.bitwise_count(strings[:, None] & mask_arrays(self.generators)[::-1, None]) & 1
+        syn_x, syn_z = anti @ (1 << np.arange(self.m))
+        member = np.zeros((size, size), dtype=bool)  # [z, x]
+        member[tuple(mask_arrays(self.group())[::-1])] = True
         best_d = best_w = n + 1
-        chunk = 1 << 20
-        for start in range(0, 1 << (2 * n), chunk):
-            idx = np.arange(start, min(start + chunk, 1 << (2 * n)), dtype=np.int64)
-            x = idx & mask
-            z = idx >> n
-            w = pop[x | z]
-            commuting = np.ones(len(idx), dtype=bool)
-            for g in self.generators:
-                parity = (pop[x & g.z_mask] + pop[z & g.x_mask]) & 1
-                commuting &= parity == 0
-            in_group = member[idx]
-            logical_like = commuting & ~in_group
-            if logical_like.any():
-                best_d = min(best_d, int(w[logical_like].min()))
-            nontrivial = in_group & (w > 0)
-            if nontrivial.any():
-                best_w = min(best_w, int(w[nontrivial].min()))
+        rows = max(1, (1 << 20) >> n)  # values of z per chunk of about 2^20 strings
+        for start in range(0, size, rows):
+            z = strings[start : start + rows, None]
+            w = pop[z | strings]
+            commuting = syn_z[z] == syn_x
+            in_group = member[start : start + rows]
+            best_d = min(best_d, int(w[commuting & ~in_group].min(initial=n + 1)))
+            best_w = min(best_w, int(w[in_group & (w > 0)].min(initial=n + 1)))
         if best_w == n + 1:
             best_w = 0  # no non-identity stabilizers (trivial m = 0 code)
         return (best_d, best_w)

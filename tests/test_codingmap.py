@@ -16,6 +16,7 @@ the inner cube for the Shor Z component.
 """
 
 import gc
+import hashlib
 import weakref
 from fractions import Fraction
 
@@ -297,6 +298,24 @@ def test_c_m_grid_five_qubit():
     assert again.c_m == constants.c_m
 
 
+# float.hex of c_m; a faster evaluation must keep every bit
+C_M_HEX = {
+    ("bitflip3", 0): "0x1.76cffffffff2dp+11",
+    ("bitflip3", 5): "0x1.76cffffffff2dp+11",
+    ("five-qubit", 0): "0x1.65ca13dd70068p+2",
+    ("five-qubit", 5): "0x1.7f5d74d008ac0p+2",
+    ("steane", 0): "0x1.73d13f8cbd148p+3",
+    ("steane", 5): "0x1.91a8c79f16c18p+3",
+    ("shor", 0): "0x1.0b861876ba40cp+4",
+    ("shor", 5): "0x1.07e8d6b897bd2p+4",
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(C_M_HEX))
+def test_c_m_bits_pinned(name, seed):
+    assert c_constants(get_code(name), seed).c_m.hex() == C_M_HEX[name, seed]
+
+
 def test_c_m_flags_weak_codes():
     constants = c_constants(get_code("bitflip3"))
     assert isinstance(constants, CConstants)
@@ -354,6 +373,26 @@ def pairwise_reference_exact(code, entries):
 def test_monomial_counts():
     counts = {name: len(compiled_map(get_code(name)).entry) for name in builtin_names()}
     assert counts == {"bitflip3": 56, "five-qubit": 424, "steane": 412, "shor": 2132}
+
+
+# sha256 over dtype, shape and bytes of entry, factors and numerators: the
+# merge must keep its key order and each key's first stabilizer pair
+COMPILED_MAP_SHA256 = {
+    "bitflip3": "d91a2c60306f0ee76980eb7b8ee09ff556a4b2212adbce51babfcac0b041af2a",
+    "five-qubit": "5ebc7106a50250cccf14979abd20916801709259a5abf9d412bcb8fca258c014",
+    "shor": "8c77344180041aeaa30d641efb26db980c1bb8b0aae0fe81daa11460242ff30b",
+    "steane": "2e3f7d76da8ee87adc9395e57d83ffaa95400eefa0f4d96ba8aadf4dcc09beec",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPILED_MAP_SHA256))
+def test_compiled_map_bytes_pinned(name):
+    compiled = compiled_map(get_code(name))
+    digest = hashlib.sha256()
+    for array in (compiled.entry, compiled.factors, compiled.numerators):
+        digest.update(f"{array.dtype.str}{array.shape}".encode())
+        digest.update(np.ascontiguousarray(array).tobytes())
+    assert digest.hexdigest() == COMPILED_MAP_SHA256[name]
 
 
 @pytest.mark.parametrize("name", ["bitflip3", "five-qubit", "steane", "shor"])

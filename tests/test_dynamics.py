@@ -260,7 +260,16 @@ def test_jacobian_bitflip3_x_direction(bitflip3):
 def test_jacobian_fd_matches_analytic_gradient(five_qubit):
     at = DiagonalChannel(0.9, 0.85, 0.95)
     fd = jacobian_fd(five_qubit, at)
-    analytic = diagonal_map(five_qubit).jacobian_at(*at.as_tuple())
+    # d/dv of coeff x^a y^b z^c, term by term, from the exact monomials
+    poly = diagonal_map(five_qubit)
+    analytic = np.zeros((3, 3))
+    for r, sigma in enumerate("XYZ"):
+        for m in poly.components[sigma]:
+            exps = (m.a, m.b, m.c)
+            for v in range(3):
+                if exps[v]:
+                    powers = [at.as_tuple()[k] ** (e - (k == v)) for k, e in enumerate(exps)]
+                    analytic[r, v] += float(m.coeff) * exps[v] * math.prod(powers)
     np.testing.assert_allclose(fd, analytic, atol=1e-6)
 
 

@@ -1,8 +1,14 @@
 """Dense density-matrix simulation as an independent check of the algebra."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import concatcode
 from concatcode import (
     CapabilityError,
     DiagonalChannel,
@@ -20,7 +26,7 @@ from concatcode import (
     random_cptp,
     simulate,
 )
-from concatcode.linalg import PAULI_MATS, pauli_dense
+from concatcode.linalg import PAULI_MATS, apply_map_on_qubit, pauli_dense
 from concatcode.oracle import _dense_parts, syndrome_projectors
 from concatcode.pauli import eta
 
@@ -87,6 +93,57 @@ def test_decoders_match_full_projector_product(name):
     for j, p in enumerate(syndrome_projectors(code)):
         expected = parts.encoder.conj().T @ pauli_dense(recs[j]) @ p
         np.testing.assert_allclose(parts.decoders[j], expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["bitflip3", "five-qubit"])
+def test_simulate_matches_qubit_by_qubit_process_tensors(name):
+    """The Liouville-order noise stage against apply_map_on_qubit, which
+    contracts the process tensor on one qubit's row and column axes, on a
+    non-hermitian input."""
+    code = get_code(name)
+    rng = np.random.default_rng(11)
+    channel = random_cptp(rng)
+    rho0 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    kraus = np.array(channel.kraus_operators(cutoff=1e-12))
+    process = np.einsum("eac,ebd->abcd", kraus, kraus.conj())
+    parts = _dense_parts(code)
+    noisy = parts.encoder @ rho0 @ parts.encoder.conj().T
+    for q in range(code.n):
+        noisy = apply_map_on_qubit(noisy, process, q, code.n)
+    expected = sum(w @ noisy @ w.conj().T for w in parts.decoders)
+    np.testing.assert_allclose(simulate(code, channel, rho0), expected, atol=1e-12)
+
+
+FAULTS_PER_EXTRACTION = """
+import resource
+import numpy as np
+from concatcode import extract_stokes, get_code, random_cptp
+code = get_code("steane")
+channels = [random_cptp(np.random.default_rng(seed)) for seed in range(8)]
+for channel in channels[:3]:
+    extract_stokes(code, channel)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for channel in channels[3:]:
+    extract_stokes(code, channel)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="minor page faults as glibc counts them")
+@pytest.mark.parametrize("mmap_threshold", [None, "131072"])
+def test_steane_extraction_touches_few_fresh_pages(mmap_threshold):
+    """A Steane extraction keeps its dense steps in two buffers of 1 MiB,
+    allocated once per call rather than per qubit, so whether malloc serves
+    them from the heap or by mmap costs at most about 512 faults of 4 KiB."""
+    env = {**os.environ, "PYTHONPATH": str(Path(concatcode.__file__).parents[1])}
+    env.pop("MALLOC_MMAP_THRESHOLD_", None)
+    if mmap_threshold is not None:
+        env["MALLOC_MMAP_THRESHOLD_"] = mmap_threshold
+    out = subprocess.run(
+        [sys.executable, "-c", FAULTS_PER_EXTRACTION],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert float(out.stdout) < 1000
 
 
 def test_identity_channel_roundtrip(five_qubit):

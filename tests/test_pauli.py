@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from concatcode import PauliDimensionError, PauliString, eta
-from concatcode.linalg import pauli_dense
+from concatcode.linalg import PAULI_MATS, pauli_dense
 
 P = PauliString.parse
 
@@ -190,3 +190,20 @@ def test_eta_matches_dense_commutator(pair):
         np.testing.assert_allclose(da @ db, db @ da, atol=1e-12)
     else:
         np.testing.assert_allclose(da @ db, -db @ da, atol=1e-12)
+
+
+def _kron_chain(p: PauliString) -> np.ndarray:
+    """Dense matrix as the Kronecker product of the letters, qubit 0 leftmost."""
+    out = np.array([[p.phase]], dtype=complex)
+    for c in p.letters:
+        out = np.kron(out, PAULI_MATS["IXYZ".index(c)])
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_pauli_dense_matches_kron_chain(n):
+    rng = np.random.default_rng(n)
+    for k in range(8):
+        letters = "".join(rng.choice(list("IXYZ"), size=n))
+        p = PauliString(letters, (1, 1j, -1, -1j)[k % 4])
+        assert np.array_equal(pauli_dense(p), _kron_chain(p)), str(p)

@@ -21,6 +21,7 @@ from concatcode import (
     get_code,
     parse_code_spec,
 )
+from concatcode.pauli import eta
 from concatcode.stabilizer import CodeSpecError
 
 P = PauliString.parse
@@ -263,6 +264,58 @@ def test_f_matrix_blind_to_recovery_phases(bitflip3):
         [-r for r in bitflip3.recovery],
     )
     assert np.array_equal(flipped.f_matrix().values, bitflip3.f_matrix().values)
+
+
+def _f_by_eta(code) -> np.ndarray:
+    """f[i][sigma] = sum_j eta(R_j, S_i) * eta(R_j, logical sigma), entry by entry."""
+    recs = code.recovery_by_syndrome()
+    signs = [[eta(r, code.logical(sigma)) for sigma in "IXYZ"] for r in recs]
+    rows = []
+    for s in code.group():
+        against = [eta(r, s) for r in recs]
+        rows.append([sum(e * sign[c] for e, sign in zip(against, signs)) for c in range(4)])
+    return np.array(rows)
+
+
+def _permuted_spec(code, perm, reverse_lines: bool) -> str:
+    """Spec text of `code` with qubit q moved to position perm[q]; with
+    `reverse_lines` the generator and recovery lines come in reverse order,
+    which reorders the stabilizer group."""
+
+    def moved(p):
+        letters = ["I"] * code.n
+        for q, letter in enumerate(p.letters):
+            letters[perm[q]] = letter
+        return str(p)[: len(str(p)) - code.n] + "".join(letters)
+
+    order = slice(None, None, -1 if reverse_lines else 1)
+    lines = [f"n {code.n}"]
+    lines += [f"generator {moved(g)}" for g in code.generators[order]]
+    lines += [f"logicalX {moved(code.logical_x)}", f"logicalZ {moved(code.logical_z)}"]
+    lines += [f"recovery {moved(r)}" for r in code.recovery[order]]
+    return "\n".join(lines) + "\n"
+
+
+def _variants(code):
+    """The code itself and two permuted spec texts of it."""
+    n = code.n
+    yield code
+    yield parse_code_spec(_permuted_spec(code, list(range(n))[::-1], reverse_lines=True))
+    yield parse_code_spec(_permuted_spec(code, [(q + 2) % n for q in range(n)], reverse_lines=False))
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_PARAMETERS))
+def test_f_matrix_matches_entrywise_eta_sums(name):
+    for code in _variants(get_code(name)):
+        values = code.f_matrix().values
+        assert values.dtype == np.int64
+        assert np.array_equal(values, _f_by_eta(code))
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_PARAMETERS))
+def test_distance_and_w_of_permuted_specs(name):
+    for code in _variants(get_code(name)):
+        assert code.distance_and_w() == EXPECTED_PARAMETERS[name]
 
 
 def test_decoding_coefficients_bitflip3(bitflip3):
