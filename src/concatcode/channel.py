@@ -75,10 +75,6 @@ class StokesChannel:
     def identity(cls) -> "StokesChannel":
         return cls(np.eye(4))
 
-    @classmethod
-    def from_kraus(cls, kraus) -> "StokesChannel":
-        return cls(linalg.stokes_from_kraus(kraus))
-
     def __matmul__(self, other: "StokesChannel") -> "StokesChannel":
         """Composition self after other; Stokes matrices multiply."""
         if not isinstance(other, StokesChannel):
@@ -179,7 +175,9 @@ def random_cptp(rng: np.random.Generator, kraus_rank: int = 4) -> StokesChannel:
     g = rng.normal(size=(2 * kraus_rank, 2)) + 1j * rng.normal(size=(2 * kraus_rank, 2))
     q, _ = np.linalg.qr(g)
     kraus = [q[2 * e : 2 * e + 2, :] for e in range(kraus_rank)]
-    return StokesChannel.from_kraus(kraus)
+    matrix = linalg.stokes_from_kraus(kraus)
+    matrix[0] = (1.0, 0.0, 0.0, 0.0)  # trace-preserving by construction; drop rounding
+    return StokesChannel(matrix)
 
 
 def random_pauli_channel(rng: np.random.Generator) -> DiagonalChannel:

@@ -10,7 +10,8 @@ per code instance from one source, the decoding coefficient tables
 * `compiled_map` holds every entry of the full 4x4 image as merged
   monomials in the 16 input entries: the sum over stabilizer pairs.
   `general_map` evaluates it in floating point at O(n) per monomial,
-  `general_map_exact` in exact rationals;
+  on trace-preserving inputs only the monomials free of row 0 off the
+  diagonal (`trace_preserving_map`), `general_map_exact` in exact rationals;
 * `diagonal_map` holds the exact multivariate polynomials of the three
   diagonal components: the part of that pair sum where both members of
   the pair are the same row.  Diagonal inputs stay diagonal, so these
@@ -213,11 +214,30 @@ def compiled_map(code: StabilizerCode) -> CompiledMap:
     return CompiledMap(code.m, np.concatenate(entries), factors, np.concatenate(numerators))
 
 
+@per_code
+def trace_preserving_map(code: StabilizerCode) -> CompiledMap:
+    """The monomials of `compiled_map`, in its order, that hold none of the
+    input entries T_01, T_02, T_03.  On an input whose row 0 is (1, 0, 0, 0)
+    every other monomial is a signed zero, so both forms sum to the same bits."""
+    compiled = compiled_map(code)
+    keep = ~((compiled.factors >= 1) & (compiled.factors <= 3)).any(axis=0)
+    factors = np.ascontiguousarray(compiled.factors[:, keep])
+    return CompiledMap(compiled.m, compiled.entry[keep], factors, compiled.numerators[keep])
+
+
 def general_map(code: StabilizerCode, channel: StokesChannel) -> StokesChannel:
     """Image of an arbitrary superoperator under one coding level: one
-    gather-and-product pass over the compiled monomials."""
-    compiled = compiled_map(code)
-    terms = channel.matrix.ravel()[compiled.factors].prod(axis=0) * compiled.numerators
+    gather-and-product pass over the compiled monomials.
+
+    An input whose row 0 is exactly (1, 0, 0, 0) is evaluated on
+    `trace_preserving_map`, any other on the full `compiled_map`.  The two
+    agree bit for bit on finite inputs; where an entry is infinite or NaN
+    they may differ, because the full form turns 0 * inf into NaN.
+    """
+    matrix = channel.matrix
+    tp = matrix[0].tolist() == [1.0, 0.0, 0.0, 0.0]
+    compiled = trace_preserving_map(code) if tp else compiled_map(code)
+    terms = matrix.ravel()[compiled.factors].prod(axis=0) * compiled.numerators
     out = np.bincount(compiled.entry, weights=terms, minlength=16) / (1 << compiled.m)
     return StokesChannel(out.reshape(4, 4))
 

@@ -40,7 +40,7 @@ from concatcode import (
     random_cptp,
     random_pauli_channel,
 )
-from concatcode.codingmap import compiled_map
+from concatcode.codingmap import compiled_map, trace_preserving_map
 
 F = Fraction
 
@@ -373,6 +373,8 @@ def pairwise_reference_exact(code, entries):
 def test_monomial_counts():
     counts = {name: len(compiled_map(get_code(name)).entry) for name in builtin_names()}
     assert counts == {"bitflip3": 56, "five-qubit": 424, "steane": 412, "shor": 2132}
+    tp = {name: len(trace_preserving_map(get_code(name)).entry) for name in builtin_names()}
+    assert tp == {"bitflip3": 39, "five-qubit": 193, "steane": 177, "shor": 851}
 
 
 # sha256 over dtype, shape and bytes of entry, factors and numerators: the
@@ -404,6 +406,40 @@ def test_compiled_map_matches_pairwise_sum(name):
     for matrix in inputs:
         got = general_map(code, StokesChannel(matrix)).matrix
         np.testing.assert_allclose(got, pairwise_reference(code, matrix), rtol=0, atol=1e-13)
+
+
+def full_form(code, matrix):
+    """`compiled_map` evaluated on every monomial, whatever the input."""
+    compiled = compiled_map(code)
+    terms = matrix.ravel()[compiled.factors].prod(axis=0) * compiled.numerators
+    out = np.bincount(compiled.entry, weights=terms, minlength=16) / (1 << compiled.m)
+    return out.reshape(4, 4)
+
+
+@pytest.mark.parametrize("name", ["bitflip3", "five-qubit", "steane", "shor"])
+def test_trace_preserving_form_gives_the_bytes_of_the_full_form(name):
+    code = get_code(name)
+    full, tp = compiled_map(code), trace_preserving_map(code)
+    keep = ~np.isin(full.factors, (1, 2, 3)).any(axis=0)
+    assert np.array_equal(tp.entry, full.entry[keep])
+    assert np.array_equal(tp.factors, full.factors[:, keep])
+    assert np.array_equal(tp.numerators, full.numerators[keep])
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        t = StokesChannel(0.9 * np.eye(4) + 0.1 * random_cptp(rng).matrix)
+        for _ in range(4):  # orbit levels
+            assert t.matrix[0].tolist() == [1.0, 0.0, 0.0, 0.0]
+            out = general_map(code, t)
+            assert out.matrix.tobytes() == full_form(code, t.matrix).tobytes()
+            t = out
+    # inputs that take the full form
+    off = random_cptp(rng).matrix.copy()
+    off[0, 1] = np.spacing(1.0)  # row 0 one ulp away from (1, 0, 0, 0)
+    for matrix, atol in ((off, 1e-15), (2.0 * np.eye(4), 0.0)):
+        out = general_map(code, StokesChannel(matrix)).matrix
+        assert out.tobytes() == full_form(code, matrix).tobytes()
+        exact = general_map_exact(code, matrix.tolist())
+        np.testing.assert_allclose(out, np.array(exact, dtype=float), rtol=0, atol=atol)
 
 
 @pytest.mark.parametrize("name", ["bitflip3", "five-qubit"])

@@ -19,11 +19,13 @@ from concatcode import (
     fixed_points_1d,
     general_bound_check,
     get_code,
+    is_valid_channel,
     iterate,
     jacobian_fd,
     jacobian_fd_full,
     max_entry_distance,
     parse_code_spec,
+    random_cptp,
     threshold,
 )
 
@@ -132,6 +134,16 @@ def test_general_orbit_stokes_input(five_qubit):
     for lg, lr in zip(general.levels, reduced.levels):
         assert isinstance(lg.channel, StokesChannel)
         assert lg.distance == pytest.approx(lr.distance, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_bitflip3_stokes_orbit_stays_a_channel(bitflip3, seed):
+    # bitflip3 amplifies a rounding error in row 0 threefold per level; an
+    # exactly trace-preserving input keeps every level exactly trace-preserving
+    r = random_cptp(np.random.default_rng(seed))
+    record = iterate(bitflip3, StokesChannel(0.99 * np.eye(4) + 0.01 * r.matrix), k_max=60)
+    assert len(record.levels) == 61
+    assert all(is_valid_channel(level.channel) for level in record.levels)
 
 
 def test_contracting_envelope_inside_guaranteed_region(five_qubit):

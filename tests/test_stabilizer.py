@@ -222,8 +222,21 @@ def test_syndrome_examples(bitflip3):
 def test_recovery_syndromes_bijective():
     for name in builtin_names():
         code = get_code(name)
-        syndromes = {code.syndrome(r) for r in code.recovery}
-        assert syndromes == set(range(1 << code.m))
+        syndromes = [code.syndrome(r) for r in code.recovery]
+        assert code.recovery_syndromes().tolist() == syndromes
+        assert set(syndromes) == set(range(1 << code.m))
+
+
+def test_code_too_wide_for_int64_masks_still_validates():
+    n = 70
+    code = StabilizerCode(
+        n, [P("ZZ" + "I" * (n - 2))], P("X" * n), P("Z" * n), [P("I" * n), P("X" + "I" * (n - 1))]
+    )
+    assert code.recovery_syndromes().tolist() == [0, 1]
+    assert code.validate().violations == (
+        f"expected m = n-1 = {n - 1} generators, got 1",
+        "logicalX and logicalZ do not anticommute",
+    )
 
 
 # -- f-matrix and decoding coefficients --------------------------------------------
