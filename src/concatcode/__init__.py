@@ -20,7 +20,6 @@ from .channel import (
     parse_channel_literal,
     random_cptp,
     random_pauli_channel,
-    two_copy_diamond_estimate,
 )
 from .codingmap import (
     CConstants,
@@ -121,5 +120,4 @@ __all__ = [
     "random_pauli_channel",
     "simulate",
     "threshold",
-    "two_copy_diamond_estimate",
 ]

@@ -189,79 +189,33 @@ def random_pauli_channel(rng: np.random.Generator) -> DiagonalChannel:
 # -- diamond-norm lower-bound estimator ----------------------------------------
 
 
-def _ascend_trace_norm(apply_fwd, apply_adj, dim: int, rng, iters: int, ftol: float) -> float:
-    """One seeded ascent run for sup_psi || (Phi (x) Id)(|psi><psi|) ||_1.
-
-    Alternates the exact sign-operator step with the leading eigenvector of
-    the back-propagated witness; both steps are monotone, so the run value
-    is a certified lower bound of the diamond norm of Phi.
-    """
-    psi = linalg.random_pure_state(rng, dim * dim)
-    best = 0.0
-    for _ in range(iters):
-        rho = np.outer(psi, psi.conj())
-        image = apply_fwd(rho)
-        vals, vecs = np.linalg.eigh(image)
-        value = float(np.sum(np.abs(vals)))
-        witness = (vecs * np.sign(vals)) @ vecs.conj().T
-        back = apply_adj(witness)
-        _, back_vecs = np.linalg.eigh(back)
-        psi = back_vecs[:, -1]
-        if value <= best + ftol:
-            best = max(best, value)
-            break
-        best = value
-    return best
-
-
-def _system_map_applier(tensors, dim: int, subtract_identity: bool):
-    """Applier for (Phi (x) Id) where Phi acts qubit-wise on a dim-dim system."""
-    nq_sys = dim.bit_length() - 1
-    nq = 2 * nq_sys
-
-    def apply(rho: np.ndarray) -> np.ndarray:
-        out = rho
-        for q, m in enumerate(tensors):
-            out = linalg.apply_map_on_qubit(out, m, q, nq)
-        if subtract_identity:
-            out = out - rho
-        return out
-
-    return apply
-
-
 def diamond_distance_estimate(channel, seed: int = 0, restarts: int = 200) -> float:
     """Seeded lower-bound estimate of ||T - Id||_diamond.
 
     Maximizes the trace norm of ((T - Id) (x) Id) over pure two-qubit
     states with `restarts` random starts plus local ascent; deterministic
-    for a fixed seed.  The result is a lower bound, never an upper bound.
+    for a fixed seed.  The ascent alternates the exact sign-operator step
+    with the leading eigenvector of the back-propagated witness; both steps
+    are monotone, so the result is a lower bound, never an upper bound.
     """
     t = as_stokes(channel)
     delta = t.matrix - np.eye(4)
-    fwd = _system_map_applier([linalg.map_tensor(delta)], 2, subtract_identity=False)
-    adj = _system_map_applier([linalg.map_tensor(delta.T)], 2, subtract_identity=False)
+    m_fwd, m_adj = linalg.map_tensor(delta), linalg.map_tensor(delta.T)
     best = 0.0
     for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        best = max(best, _ascend_trace_norm(fwd, adj, 2, rng, iters=60, ftol=1e-13))
-    return best
-
-
-def two_copy_diamond_estimate(channel, seed: int = 0, restarts: int = 50) -> float:
-    """Seeded lower-bound estimate of ||T(x)T - Id(x)Id||_diamond.
-
-    Runs the same ascent on two noisy qubits plus a two-qubit reference.
-    """
-    t = as_stokes(channel)
-    m_fwd = linalg.map_tensor(t.matrix)
-    m_adj = linalg.map_tensor(t.matrix.T)
-    fwd = _system_map_applier([m_fwd, m_fwd], 4, subtract_identity=True)
-    adj = _system_map_applier([m_adj, m_adj], 4, subtract_identity=True)
-    best = 0.0
-    for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        best = max(best, _ascend_trace_norm(fwd, adj, 4, rng, iters=60, ftol=1e-13))
+        psi = linalg.random_pure_state(np.random.default_rng([seed, r]), 4)
+        run = 0.0
+        for _ in range(60):
+            rho = np.outer(psi, psi.conj())
+            vals, vecs = np.linalg.eigh(linalg.apply_map_on_qubit(rho, m_fwd, 0, 2))
+            value = float(np.sum(np.abs(vals)))
+            witness = (vecs * np.sign(vals)) @ vecs.conj().T
+            psi = np.linalg.eigh(linalg.apply_map_on_qubit(witness, m_adj, 0, 2))[1][:, -1]
+            if value <= run + 1e-13:
+                run = max(run, value)
+                break
+            run = value
+        best = max(best, run)
     return best
 
 

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import DiagonalChannel, StokesChannel
-from .stabilizer import SIGMAS, CapabilityError, StabilizerCode, mask_arrays, per_code
+from .stabilizer import SIGMAS, CapabilityError, StabilizerCode, per_code
 
 COMPONENTS = ("X", "Y", "Z")
 
@@ -142,10 +142,11 @@ def diagonal_map(code: StabilizerCode) -> DiagonalMapPolynomial:
     size = 1 << code.m
     components: dict[str, tuple[Monomial, ...]] = {}
     for sigma in COMPONENTS:
-        acc: dict[tuple[int, int, int], int] = {}  # numerators over 2^m
-        for p, alpha, beta in code.coefficient_table(sigma):
-            exps = p.weights()
-            acc[exps] = acc.get(exps, 0) + alpha * beta.numerator * size // beta.denominator
+        x, z, alpha, beta = code.coefficient_table(sigma)
+        counts = np.bitwise_count([x & ~z, x & z, z & ~x]).T.tolist()
+        acc: dict[tuple[int, ...], int] = {}  # numerators over 2^m
+        for exps, num in zip(map(tuple, counts), (alpha * beta).tolist()):
+            acc[exps] = acc.get(exps, 0) + num
         components[sigma] = tuple(
             Monomial(a, b, c, Fraction(num, size)) for (a, b, c), num in sorted(acc.items()) if num
         )
@@ -180,22 +181,28 @@ def compiled_map(code: StabilizerCode) -> CompiledMap:
     n, size, base = code.n, 1 << code.m, code.n + 1
     if base**16 > np.iinfo(np.int64).max:
         raise CapabilityError(f"the compiled coding map is limited to n <= 14, code has n = {n}")
-    letters, alpha, weight, col_digits = {}, {}, {}, {}
+    letters, alpha, weight = {}, {}, {}
+    row_low, row_high, col_digits = {}, {}, {}
     for sigma in SIGMAS:
-        table = code.coefficient_table(sigma)
-        x, z = mask_arrays([p for p, _, _ in table])[:, :, None] >> np.arange(n) & 1
+        x, z, alpha[sigma], weight[sigma] = code.coefficient_table(sigma)
+        x, z = x[:, None] >> np.arange(n) & 1, z[:, None] >> np.arange(n) & 1
         letters[sigma] = (x ^ z) + 2 * z  # I, X, Y, Z = 0, 1, 2, 3
-        col_digits[sigma] = (base ** letters[sigma]).T
-        alpha[sigma] = np.array([a for _, a, _ in table])
-        weight[sigma] = np.array([b.numerator * size // b.denominator for _, _, b in table])
-    step = max(1, 4096 // size)  # rows per block of about 4096 pairs merged at once
+        # a key is a count vector: digit 4 a + b (radix n+1) counts letter
+        # pairs (a, b).  Split at row letter Y, each half of the key is an
+        # integer below (n+1)^8, exact in float64
+        digits = (base ** (4 * letters[sigma] % 8)).astype(float)
+        row_low[sigma] = np.where(letters[sigma] < 2, digits, 0.0)
+        row_high[sigma] = np.where(letters[sigma] >= 2, digits, 0.0)
+        col_digits[sigma] = (base ** letters[sigma]).T.astype(float)
+    step = max(1, 16384 // size)  # rows per block of about 16384 pairs merged at once
     entries, factors, numerators = [], [], []
     for (r, s), (c, t) in itertools.product(enumerate(SIGMAS), repeat=2):
         live = np.flatnonzero(weight[s])
         acc_keys = acc_pairs = acc_nums = np.empty(0, np.int64)
         for rows in np.split(live, range(step, len(live), step)):
-            # count vectors as int64 keys: digit 4 a + b (radix n+1) counts letters (a, b)
-            block_keys = (base ** (4 * letters[s][rows]) @ col_digits[t]).ravel()
+            low = (row_low[s][rows] @ col_digits[t]).astype(np.int64)
+            high = (row_high[s][rows] @ col_digits[t]).astype(np.int64)
+            block_keys = (high * base**8 + low).ravel()
             block_pairs = (size * rows[:, None] + np.arange(size)).ravel()
             block_nums = np.outer(weight[s][rows], alpha[t]).ravel()
             # merge equal keys; each keeps the pair of its first occurrence

@@ -22,6 +22,17 @@ _PREFIX_EXPONENT = {None: 0, "+": 0, "i": 1, "+i": 1, "-": 2, "-i": 3}
 _PREFIX_BY_EXPONENT = ("", "i", "-", "-i")
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _LETTER_BY_BITS = {v: k for k, v in _LETTER_BITS.items()}
+# letters to binary digits of the x and the z mask; the word is read
+# reversed, because qubit j is bit j
+_X_DIGITS = str.maketrans("IXYZ", "0110")
+_Z_DIGITS = str.maketrans("IXYZ", "0011")
+_NOT_A_LETTER = re.compile(r"[^IXYZ]")
+
+
+def _word_masks(letters: str) -> tuple[int, int]:
+    """The x mask and the z mask of a word over IXYZ."""
+    reverse = letters[::-1]
+    return int(reverse.translate(_X_DIGITS), 2), int(reverse.translate(_Z_DIGITS), 2)
 
 
 class PauliDimensionError(ValueError):
@@ -40,23 +51,18 @@ class PauliString:
     __slots__ = ("n", "_x", "_z", "_k")
 
     def __init__(self, letters: str, phase: complex = 1) -> None:
-        if not letters or any(c not in LETTERS for c in letters):
+        if not letters or _NOT_A_LETTER.search(letters):
             raise ValueError(f"letters must be a nonempty word over IXYZ, got {letters!r}")
         try:
             exponent = PHASES.index(complex(phase))
         except ValueError:
             raise ValueError(f"phase must be one of 1, 1j, -1, -1j, got {phase!r}") from None
-        x = z = n_y = 0
-        for j, c in enumerate(letters):
-            xb, zb = _LETTER_BITS[c]
-            x |= xb << j
-            z |= zb << j
-            n_y += xb & zb
+        x, z = _word_masks(letters)
         object.__setattr__(self, "n", len(letters))
         object.__setattr__(self, "_x", x)
         object.__setattr__(self, "_z", z)
         # internal exponent k refers to the i^k * X^x Z^z normal form
-        object.__setattr__(self, "_k", (exponent + n_y) % 4)
+        object.__setattr__(self, "_k", (exponent + (x & z).bit_count()) % 4)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("PauliString is immutable")
@@ -93,7 +99,8 @@ class PauliString:
         if m is None:
             raise ValueError(f"not a Pauli string literal: {text!r}")
         prefix, letters = m.groups()
-        return cls(letters, PHASES[_PREFIX_EXPONENT[prefix]])
+        x, z = _word_masks(letters)
+        return cls._raw(len(letters), x, z, _PREFIX_EXPONENT[prefix] + (x & z).bit_count())
 
     # -- representation ------------------------------------------------
 

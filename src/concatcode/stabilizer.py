@@ -3,17 +3,22 @@
 A code is given by its n-1 commuting generators (distance-one logical
 qubit, k=1), the logical X and Z operators, and one recovery operator per
 syndrome.  From these the module derives the stabilizer group, the signed
-recovery/stabilizer correlation table (`f_matrix`), the exact rational
-decoding coefficients, and the brute-forced code parameters d and w.
+recovery/stabilizer correlation table (`f_matrix`), the exact decoding
+coefficient tables, and the brute-forced code parameters d and w.
+
+Derived data lives in symplectic int64 arrays with one entry per group
+element: a Pauli string i^k X^x Z^z is the triple (x mask, z mask, k) that
+`PauliString` also uses.  The group is built by doubling over the
+generators with product phases from popcounts (`group_arrays`), and each
+coefficient table is the group times one logical operator.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, wraps
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,6 +27,7 @@ from .pauli import PauliString, eta
 SIGMAS = ("I", "X", "Y", "Z")
 
 BRUTE_FORCE_MAX_QUBITS = 12
+MASK_MAX_QUBITS = 63  # x and z masks fit an int64
 
 
 class InvalidCodeError(ValueError):
@@ -56,8 +62,16 @@ class FMatrix:
 
     values: np.ndarray
 
-    def value(self, i: int, sigma: str) -> int:
-        return int(self.values[i, SIGMAS.index(sigma)])
+
+class CoefficientTable(NamedTuple):
+    """Per group index i, the phase-stripped product |S_i sigma_bar| as x and
+    z masks, its hermitian sign alpha and the numerator of the decoding
+    weight beta = f * alpha / 2^m over 2^m."""
+
+    x: np.ndarray
+    z: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
 
 
 def per_code(build):
@@ -75,7 +89,12 @@ def per_code(build):
 
 
 def mask_arrays(paulis: Sequence[PauliString]) -> np.ndarray:
-    """The x masks and the z masks of Pauli strings, as two int64 rows."""
+    """The x masks and the z masks of Pauli strings on at most 63 qubits,
+    as two int64 rows."""
+    if paulis and paulis[0].n > MASK_MAX_QUBITS:
+        raise CapabilityError(
+            f"symplectic arrays are limited to n <= {MASK_MAX_QUBITS}, got n = {paulis[0].n}"
+        )
     return np.array([(p.x_mask, p.z_mask) for p in paulis], dtype=np.int64).reshape(-1, 2).T
 
 
@@ -135,7 +154,7 @@ class StabilizerCode:
                 bad.append(f"generators {i} and {j} anticommute")
         if not bad:
             try:
-                self.group()
+                self.group_arrays()
             except InvalidCodeError as exc:
                 bad.append(str(exc))
         for label, op in (("logicalX", self.logical_x), ("logicalZ", self.logical_z)):
@@ -162,37 +181,51 @@ class StabilizerCode:
     # -- group and syndrome machinery -------------------------------------
 
     @per_code
-    def group(self) -> tuple[PauliString, ...]:
-        """All 2^m stabilizers; index = subset bitmask over the generators.
+    def group_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """All 2^m stabilizers as (x, z, k) int64 arrays; index = subset
+        bitmask over the generators.
 
-        Elements keep their exact phases.  Products of commuting hermitian
-        generators are hermitian, so phases are +1 or -1; -I itself cannot
-        occur once the generators are independent.
+        Element 2^b + i is element i times generator b, so every element is
+        the product of its generators in index order, with exact phase.
+        Products of commuting hermitian generators are hermitian, so phases
+        are +1 or -1; -I itself cannot occur once the generators are
+        independent.  The first subset that repeats an earlier element or
+        is not hermitian raises InvalidCodeError.
         """
-        elems = [PauliString.identity(self.n)]
-        seen = {(0, 0): 0}
-        for mask in range(1, 1 << self.m):
-            low = (mask & -mask).bit_length() - 1
-            elem = self.generators[low] * elems[mask ^ (1 << low)]
-            key = (elem.x_mask, elem.z_mask)
-            if key in seen:
+        gx, gz = mask_arrays(self.generators)
+        size = 1 << self.m
+        x, z, k = (np.zeros(size, dtype=np.int64) for _ in range(3))
+        for b, g in enumerate(self.generators):
+            low, high = slice(0, 1 << b), slice(1 << b, 2 << b)
+            # (i^k X^x Z^z)(i^k' X^x' Z^z'): moving Z^z past X^x' gives (-1)^|z & x'|
+            k[high] = (k[low] + g._k + 2 * np.bitwise_count(z[low] & gx[b])) % 4
+            x[high] = x[low] ^ gx[b]
+            z[high] = z[low] ^ gz[b]
+        _, first, which = np.unique(
+            np.stack([x, z], axis=1), axis=0, return_index=True, return_inverse=True
+        )
+        first = first[which.ravel()]  # per element, the first subset with its masks
+        odd_phase = (k - np.bitwise_count(x & z)) % 2 == 1  # i or -i
+        for mask in np.flatnonzero((first != np.arange(size)) | odd_phase)[:1].tolist():
+            if first[mask] != mask:
                 raise InvalidCodeError(
-                    f"dependent generators: subsets {seen[key]:#x} and {mask:#x} "
+                    f"dependent generators: subsets {first[mask]:#x} and {mask:#x} "
                     "give the same group element"
                 )
-            if not elem.is_hermitian:
-                raise InvalidCodeError(f"group element for subset {mask:#x} is not hermitian")
-            seen[key] = mask
-            elems.append(elem)
-        return tuple(elems)
+            raise InvalidCodeError(f"group element for subset {mask:#x} is not hermitian")
+        for array in (x, z, k):
+            array.setflags(write=False)
+        return x, z, k
+
+    @per_code
+    def group(self) -> tuple[PauliString, ...]:
+        """The elements of `group_arrays` as PauliStrings, in subset order."""
+        x, z, k = (array.tolist() for array in self.group_arrays())
+        return tuple(PauliString._raw(self.n, *elem) for elem in zip(x, z, k))
 
     def syndrome(self, p: PauliString) -> int:
         """Bit i of the result is set iff p anticommutes with generator i."""
         return syndrome_of(self.generators, p)
-
-    def syndrome_bits(self, p: PauliString) -> tuple[int, ...]:
-        s = self.syndrome(p)
-        return tuple((s >> i) & 1 for i in range(self.m))
 
     @per_code
     def recovery_syndromes(self) -> np.ndarray:
@@ -238,9 +271,9 @@ class StabilizerCode:
         syndrome, so eta(R_j, S_i) = (-1)^|i & j|: each column of f is the
         Walsh-Hadamard transform of eta(R_j, logical sigma) over j.
         """
-        logicals = [self.logical(sigma) for sigma in SIGMAS]
-        recs = self.recovery_by_syndrome()
-        values = np.array([[eta(r, lg) for lg in logicals] for r in recs], dtype=np.int64)
+        rx, rz = mask_arrays(self.recovery_by_syndrome())[:, :, None]
+        lx, lz = mask_arrays([self.logical(sigma) for sigma in SIGMAS])[:, None, :]
+        values = 1 - 2 * (np.bitwise_count(rx & lz ^ rz & lx) & 1).astype(np.int64)
         for k in range(self.m):
             split = values.reshape(-1, 2, 1 << k, 4)  # bit k of j on axis 1
             values = np.stack([split[:, 0] + split[:, 1], split[:, 0] - split[:, 1]], 1).reshape(-1, 4)
@@ -248,29 +281,26 @@ class StabilizerCode:
         return FMatrix(values)
 
     @per_code
-    def coefficient_table(self, sigma: str) -> tuple[tuple[PauliString, int, Fraction], ...]:
+    def coefficient_table(self, sigma: str) -> CoefficientTable:
         """Per stabilizer i: the phase-stripped product |S_i sigma_bar|, its
-        hermitian sign alpha, and the exact decoding weight beta = f * alpha / 2^m.
+        hermitian sign alpha, and the exact decoding weight beta = f * alpha / 2^m
+        as its numerator over 2^m.
         """
-        column = self.f_matrix().values[:, SIGMAS.index(sigma)].tolist()
         lg = self.logical(sigma)
-        size = 1 << self.m
-        rows = []
-        for s, f in zip(self.group(), column):
-            prod = s * lg
-            exponent = prod.phase_exponent
-            if exponent % 2 != 0:
-                raise InvalidCodeError(f"product {prod} is not hermitian")
-            alpha = 1 if exponent == 0 else -1
-            rows.append((prod.strip_phase(), alpha, Fraction(alpha * f, size)))
-        return tuple(rows)
-
-    def decoding_coefficients(self) -> dict[str, list[tuple[PauliString, Fraction]]]:
-        """For each letter sigma the 2^m pairs (|S_i sigma_bar|, beta)."""
-        return {
-            sigma: [(p, beta) for p, _, beta in self.coefficient_table(sigma)]
-            for sigma in SIGMAS
-        }
+        sx, sz, sk = self.group_arrays()
+        x, z = sx ^ lg.x_mask, sz ^ lg.z_mask
+        k = sk + lg._k + 2 * np.bitwise_count(sz & lg.x_mask).astype(np.int64)
+        exponent = (k - np.bitwise_count(x & z)) % 4  # of the displayed prefactor i^p
+        odd = np.flatnonzero(exponent % 2)
+        if len(odd):
+            i = odd[0]
+            prod = PauliString._raw(self.n, int(x[i]), int(z[i]), int(k[i]))
+            raise InvalidCodeError(f"product {prod} is not hermitian")
+        alpha = 1 - exponent  # p = 0 or 2
+        beta = alpha * self.f_matrix().values[:, SIGMAS.index(sigma)]
+        for array in (x, z, alpha, beta):
+            array.setflags(write=False)
+        return CoefficientTable(x, z, alpha, beta)
 
     # -- code parameters ----------------------------------------------------
 
@@ -295,7 +325,8 @@ class StabilizerCode:
         anti = np.bitwise_count(strings[:, None] & mask_arrays(self.generators)[::-1, None]) & 1
         syn_x, syn_z = anti @ (1 << np.arange(self.m))
         member = np.zeros((size, size), dtype=bool)  # [z, x]
-        member[tuple(mask_arrays(self.group())[::-1])] = True
+        x, z, _ = self.group_arrays()
+        member[z, x] = True
         best_d = best_w = n + 1
         rows = max(1, (1 << 20) >> n)  # values of z per chunk of about 2^20 strings
         for start in range(0, size, rows):

@@ -18,7 +18,6 @@ from concatcode import (
     max_entry_distance,
     parse_channel_literal,
     random_cptp,
-    two_copy_diamond_estimate,
 )
 from concatcode.linalg import PAULI_MATS, stokes_from_kraus
 
@@ -147,7 +146,6 @@ def test_apply_matches_matrix_action():
 
 def test_estimate_identity_zero():
     assert diamond_distance_estimate(StokesChannel.identity(), seed=0, restarts=10) <= 1e-9
-    assert two_copy_diamond_estimate(StokesChannel.identity(), seed=0, restarts=5) <= 1e-9
 
 
 def test_estimate_depolarizing_value():
@@ -183,15 +181,6 @@ def test_sandwich_entry_below_estimate(seed):
     t = random_cptp(rng)
     est = diamond_distance_estimate(t, seed=0, restarts=60)
     assert max_entry_distance(t) <= est + 1e-6
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_two_copy_subadditivity(seed):
-    rng = np.random.default_rng(100 + seed)
-    t = random_cptp(rng)
-    single = diamond_distance_estimate(t, seed=0, restarts=60)
-    double = two_copy_diamond_estimate(t, seed=0, restarts=30)
-    assert double <= 2.0 * single + 1e-6
 
 
 # -- literals ----------------------------------------------------------------------

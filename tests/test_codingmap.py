@@ -324,7 +324,7 @@ def test_c_m_flags_weak_codes():
 
 # -- compiled map against the pairwise sum ------------------------------------------
 
-LETTER = {"I": 0, "X": 1, "Y": 2, "Z": 3}
+BITS_LETTER = {(0, 0): 0, (1, 0): 1, (1, 1): 2, (0, 1): 3}  # (x, z) bits to I, X, Y, Z
 
 
 def _tables(code):
@@ -332,8 +332,11 @@ def _tables(code):
     out = {}
     for sigma in "IXYZ":
         table = code.coefficient_table(sigma)
-        letters = np.array([[LETTER[c] for c in p.letters] for p, _, _ in table])
-        out[sigma] = (letters, [a for _, a, _ in table], [b for _, _, b in table])
+        bits = [(x >> q & 1, z >> q & 1) for x, z in zip(table.x.tolist(), table.z.tolist())
+                for q in range(code.n)]
+        letters = np.array([BITS_LETTER[b] for b in bits]).reshape(-1, code.n)
+        beta = [F(b, 1 << code.m) for b in table.beta.tolist()]
+        out[sigma] = (letters, table.alpha.tolist(), beta)
     return out
 
 

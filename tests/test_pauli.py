@@ -207,3 +207,35 @@ def test_pauli_dense_matches_kron_chain(n):
         letters = "".join(rng.choice(list("IXYZ"), size=n))
         p = PauliString(letters, (1, 1j, -1, -1j)[k % 4])
         assert np.array_equal(pauli_dense(p), _kron_chain(p)), str(p)
+
+
+def _masks_letter_by_letter(letters: str) -> tuple[int, int, int]:
+    """x mask, z mask and Y count of a word, one letter at a time."""
+    bits = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+    x = z = n_y = 0
+    for j, c in enumerate(letters):
+        xb, zb = bits[c]
+        x |= xb << j
+        z |= zb << j
+        n_y += xb & zb
+    return x, z, n_y
+
+
+@given(words, phases, st.booleans())
+def test_masks_match_letter_by_letter_reference(w, ph, parsed):
+    prefix = {1: "", 1j: "i", -1: "-", -1j: "-i"}[ph]
+    p = PauliString.parse(prefix + w) if parsed else PauliString(w, ph)
+    x, z, n_y = _masks_letter_by_letter(w)
+    assert (p.n, p.x_mask, p.z_mask) == (len(w), x, z)
+    assert p.phase_exponent == (1, 1j, -1, -1j).index(ph)
+    assert p == PauliString._raw(len(w), x, z, p.phase_exponent + n_y)
+    assert str(p) == prefix + w
+    assert p.letters == w
+
+
+@given(words, st.integers(min_value=0, max_value=8), st.sampled_from("Axyi _0\n+"))
+def test_bad_letter_message(w, position, bad):
+    word = w[:position] + bad + w[position:]
+    with pytest.raises(ValueError) as info:
+        PauliString(word)
+    assert str(info.value) == f"letters must be a nonempty word over IXYZ, got {word!r}"

@@ -214,9 +214,9 @@ def test_larger_groups_are_hermitian_but_may_carry_signs():
 
 
 def test_syndrome_examples(bitflip3):
-    assert bitflip3.syndrome_bits(P("XII")) == (1, 0)
-    assert bitflip3.syndrome_bits(P("III")) == (0, 0)
-    assert bitflip3.syndrome_bits(P("IXI")) == (1, 1)
+    assert bitflip3.syndrome(P("XII")) == 0b01
+    assert bitflip3.syndrome(P("III")) == 0b00
+    assert bitflip3.syndrome(P("IXI")) == 0b11
 
 
 def test_recovery_syndromes_bijective():
@@ -243,19 +243,18 @@ def test_code_too_wide_for_int64_masks_still_validates():
 
 
 def test_f_values_bitflip3(bitflip3):
-    f = bitflip3.f_matrix()
-    assert f.value(0, "X") == 4
-    assert f.value(0, "Z") == -2
-    assert f.value(0, "I") == 4  # 2^m on the identity stabilizer
-    assert [f.value(i, "Z") for i in range(4)] == [-2, 2, 2, 2]
+    f = bitflip3.f_matrix().values  # columns I, X, Y, Z
+    assert f[0, 1] == 4
+    assert f[0, 3] == -2
+    assert f[0, 0] == 4  # 2^m on the identity stabilizer
+    assert f[:, 3].tolist() == [-2, 2, 2, 2]
 
 
 def test_f_identity_column():
     # sum_j eta(R_j, S_i) telescopes: 2^m on the identity, 0 elsewhere
     for name in builtin_names():
         code = get_code(name)
-        f = code.f_matrix()
-        column = [f.value(i, "I") for i in range(1 << code.m)]
+        column = code.f_matrix().values[:, 0].tolist()
         assert column[0] == 1 << code.m
         assert all(v == 0 for v in column[1:])
 
@@ -331,40 +330,172 @@ def test_distance_and_w_of_permuted_specs(name):
         assert code.distance_and_w() == EXPECTED_PARAMETERS[name]
 
 
+def _strings(table, n):
+    """The phase-stripped strings of a coefficient table."""
+    return [
+        PauliString._raw(n, x, z, (x & z).bit_count())
+        for x, z in zip(table.x.tolist(), table.z.tolist())
+    ]
+
+
 def test_decoding_coefficients_bitflip3(bitflip3):
-    coeffs = bitflip3.decoding_coefficients()
-    by_string = {str(p): beta for p, beta in coeffs["Z"]}
+    table = bitflip3.coefficient_table("Z")
+    by_string = {
+        str(p): Fraction(beta, 1 << bitflip3.m)
+        for p, beta in zip(_strings(table, 3), table.beta.tolist())
+    }
     assert by_string["ZZZ"] == Fraction(-1, 2)
-    assert all(p.phase == 1 for p, _ in coeffs["Z"])
+    assert sorted(by_string) == ["IIZ", "IZI", "ZII", "ZZZ"]
 
 
 def test_alpha_positive_for_positive_groups():
     for name in ("bitflip3", "five-qubit"):
         code = get_code(name)
-        assert all(a == 1 for _, a, _ in code.coefficient_table("I"))
+        assert np.all(code.coefficient_table("I").alpha == 1)
 
 
 def test_beta_bounded_by_one():
     for name in builtin_names():
         code = get_code(name)
         for sigma in "IXYZ":
-            assert all(abs(beta) <= 1 for _, _, beta in code.coefficient_table(sigma))
+            assert np.all(np.abs(code.coefficient_table(sigma).beta) <= 1 << code.m)
 
 
 def test_product_map_injective():
     for name in builtin_names():
         code = get_code(name)
         for sigma in "IXYZ":
-            strings = [p for p, _, _ in code.coefficient_table(sigma)]
-            assert len(set(strings)) == len(strings)
+            table = code.coefficient_table(sigma)
+            assert len(set(zip(table.x.tolist(), table.z.tolist()))) == len(table.x)
 
 
 def test_five_qubit_c_n_from_coefficients(five_qubit):
-    best = max(
-        sum(abs(beta) for _, _, beta in five_qubit.coefficient_table(sigma))
-        for sigma in "IXYZ"
+    best = max(int(np.abs(five_qubit.coefficient_table(sigma).beta).sum()) for sigma in "IXYZ")
+    assert best == 64
+
+
+# -- symplectic arrays against PauliString products ------------------------------
+
+
+def _group_by_products(code) -> list[PauliString]:
+    """The stabilizer group one PauliString product at a time: element `mask`
+    is generator low(mask) times element mask - low(mask)."""
+    elems = [PauliString.identity(code.n)]
+    seen = {(0, 0): 0}
+    for mask in range(1, 1 << code.m):
+        low = (mask & -mask).bit_length() - 1
+        elem = code.generators[low] * elems[mask ^ (1 << low)]
+        key = (elem.x_mask, elem.z_mask)
+        if key in seen:
+            raise InvalidCodeError(
+                f"dependent generators: subsets {seen[key]:#x} and {mask:#x} "
+                "give the same group element"
+            )
+        if not elem.is_hermitian:
+            raise InvalidCodeError(f"group element for subset {mask:#x} is not hermitian")
+        seen[key] = mask
+        elems.append(elem)
+    return elems
+
+
+def _table_by_products(code, sigma) -> list[tuple[int, int, int, int]]:
+    """Rows (x mask, z mask, alpha, beta * 2^m) of |S_i sigma_bar|."""
+    column = code.f_matrix().values[:, "IXYZ".index(sigma)].tolist()
+    rows = []
+    for s, f in zip(_group_by_products(code), column):
+        prod = s * code.logical(sigma)
+        if prod.phase_exponent % 2:
+            raise InvalidCodeError(f"product {prod} is not hermitian")
+        alpha = 1 if prod.phase_exponent == 0 else -1
+        rows.append((prod.x_mask, prod.z_mask, alpha, alpha * f))
+    return rows
+
+
+def _spec(code, generators, perm) -> str:
+    """Spec text with these generators, qubit q moved to perm[q], recovery auto."""
+
+    def moved(p):
+        letters = ["I"] * code.n
+        for q, letter in enumerate(p.letters):
+            letters[perm[q]] = letter
+        return str(p)[: len(str(p)) - code.n] + "".join(letters)
+
+    lines = [f"n {code.n}"] + [f"generator {moved(g)}" for g in generators]
+    lines += [f"logicalX {moved(code.logical_x)}", f"logicalZ {moved(code.logical_z)}"]
+    return "\n".join(lines + ["recovery auto"]) + "\n"
+
+
+def _array_variants():
+    """Every built-in, three seeded qubit-permuted and generator-shuffled
+    specs of each, one with generator 1 replaced by its product with
+    generator 0, and bitflip3 with the signed generator -IZZ."""
+    rng = np.random.default_rng(11)
+    for name in builtin_names():
+        code = get_code(name)
+        yield name, code
+        identity = list(range(code.n))
+        for k in range(3):
+            gens = [code.generators[i] for i in rng.permutation(code.m)]
+            yield f"{name}-shuffled{k}", parse_code_spec(_spec(code, gens, rng.permutation(code.n)))
+        gens = list(code.generators)
+        gens[1] = gens[0] * gens[1]
+        yield f"{name}-product", parse_code_spec(_spec(code, gens, identity))
+    bitflip3 = get_code("bitflip3")
+    yield "bitflip3-signed", parse_code_spec(_spec(bitflip3, [P("ZZI"), P("-IZZ")], [0, 1, 2]))
+
+
+@pytest.mark.parametrize("label, code", list(_array_variants()), ids=lambda v: str(v)[:20])
+def test_arrays_match_pauli_products(label, code):
+    assert code.validate().passed, label
+    assert [str(s) for s in code.group()] == [str(s) for s in _group_by_products(code)]
+    x, z, k = code.group_arrays()
+    assert [(int(a), int(b), int(c)) for a, b, c in zip(x, z, k)] == [
+        (s.x_mask, s.z_mask, s._k) for s in _group_by_products(code)
+    ]
+    for sigma in "IXYZ":
+        table = code.coefficient_table(sigma)
+        assert all(column.dtype == np.int64 for column in table)
+        got = list(zip(*(column.tolist() for column in table)))
+        assert got == _table_by_products(code, sigma), (label, sigma)
+
+
+@pytest.mark.parametrize(
+    "generators, message",
+    [
+        (("ZZI", "ZZI"), "dependent generators: subsets 0x1 and 0x2 give the same group element"),
+        (("iZZI", "IZZ"), "group element for subset 0x1 is not hermitian"),
+    ],
+)
+def test_group_violation_messages(generators, message):
+    code = StabilizerCode(
+        3, [P(g) for g in generators], P("XXX"), P("ZZZ"), [P(s) for s in ("III", "XII", "IXI", "IIX")]
     )
-    assert (1 << five_qubit.m) * best == 64
+    assert message in code.validate().violations
+    for build in (code.group_arrays, lambda: _group_by_products(code)):
+        with pytest.raises(InvalidCodeError) as info:
+            build()
+        assert str(info.value) == message
+
+
+def test_group_of_random_generators_matches_products():
+    """Random signed generators, commuting or not, dependent or not: the
+    same elements, or the same first error, as the product loop."""
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        gens = [
+            PauliString("".join(rng.choice(list("IXYZ"), size=n)), (1, 1j, -1, -1j)[rng.integers(4)])
+            for _ in range(m)
+        ]
+        code = StabilizerCode(n, gens, P("X" * n), P("Z" * n), [])
+        try:
+            want = [str(s) for s in _group_by_products(code)]
+        except InvalidCodeError as exc:
+            with pytest.raises(InvalidCodeError) as info:
+                code.group()
+            assert str(info.value) == str(exc)
+        else:
+            assert [str(s) for s in code.group()] == want
 
 
 # -- auto recovery ------------------------------------------------------------------
