@@ -4,8 +4,8 @@ One coding level wraps product noise T^(x)n between encoding and
 syndrome recovery plus decoding; on the level of Stokes matrices this is
 a polynomial map of degree n.  Both forms provided here are built once
 per code instance from one source, the decoding coefficient tables
-(`StabilizerCode.coefficient_table`), with exact integer numerators over
-2^m:
+(`StabilizerCode.coefficient_table`): int64 arrays of x and z masks, signs
+alpha and weight numerators over 2^m, read by popcounts and bit shifts:
 
 * `compiled_map` holds every entry of the full 4x4 image as merged
   monomials in the 16 input entries: the sum over stabilizer pairs.
@@ -176,7 +176,8 @@ def compiled_map(code: StabilizerCode) -> CompiledMap:
     stabilizer pairs, times the product of input entries along the letter
     patterns of |S_j s_bar| and |S_i t_bar|.  That product depends only on
     how often each (row letter, column letter) pair occurs, so pairs with
-    equal 16-count vectors merge exactly.
+    equal 16-count vectors merge exactly.  A block's count vectors come
+    from two float64 matrix products, exact below 2^53.
     """
     n, size, base = code.n, 1 << code.m, code.n + 1
     if base**16 > np.iinfo(np.int64).max:
@@ -194,7 +195,7 @@ def compiled_map(code: StabilizerCode) -> CompiledMap:
         row_low[sigma] = np.where(letters[sigma] < 2, digits, 0.0)
         row_high[sigma] = np.where(letters[sigma] >= 2, digits, 0.0)
         col_digits[sigma] = (base ** letters[sigma]).T.astype(float)
-    step = max(1, 16384 // size)  # rows per block of about 16384 pairs merged at once
+    step = max(1, 8192 // size)  # rows per block of about 8192 pairs merged at once
     entries, factors, numerators = [], [], []
     for (r, s), (c, t) in itertools.product(enumerate(SIGMAS), repeat=2):
         live = np.flatnonzero(weight[s])

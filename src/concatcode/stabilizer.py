@@ -185,11 +185,10 @@ class StabilizerCode:
         """All 2^m stabilizers as (x, z, k) int64 arrays; index = subset
         bitmask over the generators.
 
-        Element 2^b + i is element i times generator b, so every element is
-        the product of its generators in index order, with exact phase.
-        Products of commuting hermitian generators are hermitian, so phases
-        are +1 or -1; -I itself cannot occur once the generators are
-        independent.  The first subset that repeats an earlier element or
+        Element 2^b + i is element i times generator b: each element is the
+        product of its generators in index order, with exact phase, +1 or -1
+        for commuting hermitian generators (-I cannot occur once they are
+        independent).  The first subset that repeats an earlier element or
         is not hermitian raises InvalidCodeError.
         """
         gx, gz = mask_arrays(self.generators)
@@ -206,7 +205,9 @@ class StabilizerCode:
         )
         first = first[which.ravel()]  # per element, the first subset with its masks
         odd_phase = (k - np.bitwise_count(x & z)) % 2 == 1  # i or -i
-        for mask in np.flatnonzero((first != np.arange(size)) | odd_phase)[:1].tolist():
+        bad = np.flatnonzero((first != np.arange(size)) | odd_phase)
+        if len(bad):
+            mask = int(bad[0])
             if first[mask] != mask:
                 raise InvalidCodeError(
                     f"dependent generators: subsets {first[mask]:#x} and {mask:#x} "
