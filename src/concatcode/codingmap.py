@@ -24,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,11 +49,14 @@ class DiagonalMapPolynomial:
     lexicographic (a, b, c) order; the implicit identity component is the
     constant 1.  Total degree never exceeds `n`.
 
-    `float_terms` is the float form that `apply` evaluates: per component
-    X, Y, Z, the tuple of (float(coeff), a, b, c).  It is derived from
-    `components` on construction and takes no part in equality or repr.
-    Python computes Fraction * float as float(coeff) * float, so `apply`
-    gives the same bits as evaluating the exact monomials on floats.
+    `float_terms` is the float form, per component X, Y, Z the tuple of
+    (float(coeff), a, b, c).  `apply` evaluates it with `_evaluator`, one
+    function (x, y, z) -> (X, Y, Z) compiled on construction from generated
+    source, as `dataclasses` builds `__init__`; the source holds only float
+    reprs and integer exponents.  Each component is `0.0 + c * x**a * y**b *
+    z**c + ...` in term order with factors x**0 = 1.0 left out: the sum of
+    the monomials on floats, left to right, so `apply` gives the bits of the
+    exact monomials on floats.  Neither field takes part in equality or repr.
     """
 
     n: int
@@ -61,13 +64,22 @@ class DiagonalMapPolynomial:
     float_terms: tuple[tuple[tuple[float, int, int, int], ...], ...] = field(
         init=False, repr=False, compare=False
     )
+    _evaluator: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         terms = tuple(
             tuple((float(m.coeff), m.a, m.b, m.c) for m in self.components[sigma])
             for sigma in COMPONENTS
         )
+
+        def product(c, *exps):
+            return " * ".join([repr(c)] + [f"{v}**{e}" for v, e in zip("xyz", exps) if e])
+
+        sums = (" + ".join(["0.0"] + [product(*term) for term in component]) for component in terms)
+        namespace: dict = {}
+        exec(f"def evaluator(x, y, z):\n    return ({', '.join(sums)})", namespace)
         object.__setattr__(self, "float_terms", terms)
+        object.__setattr__(self, "_evaluator", namespace["evaluator"])
 
     def evaluate(self, sigma: str, x, y, z):
         """Evaluate one component; exact when the inputs are Fractions."""
@@ -78,13 +90,7 @@ class DiagonalMapPolynomial:
 
         Raises OverflowError where a power leaves the float range.
         """
-        x, y, z = float(t.x), float(t.y), float(t.z)
-        return DiagonalChannel(
-            *(
-                sum((c * x**a * y**b * z**e for c, a, b, e in terms), 0.0)
-                for terms in self.float_terms
-            )
-        )
+        return DiagonalChannel(*self._evaluator(float(t.x), float(t.y), float(t.z)))
 
     def depolarizing_line(self, sigma: str) -> tuple[Fraction, ...]:
         """Coefficients (degree-ascending) of the restriction x = y = z = t."""

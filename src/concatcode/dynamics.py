@@ -70,6 +70,36 @@ class RaySpec:
         return DiagonalChannel(1.0 - eps * dx, 1.0 - eps * dy, 1.0 - eps * dz)
 
 
+def _orbit(code, t0, k_max: int, tol: float) -> tuple[list[OrbitLevel], bool, int]:
+    """The evaluated levels of `iterate`'s orbit, whether it converged, and
+    the period (1 or 2) of the float cycle it stopped on, else 0."""
+    diagonal = isinstance(t0, DiagonalChannel)
+    poly = diagonal_map(code) if diagonal else None
+    state = t0
+    levels = [OrbitLevel(0, state, max_entry_distance(state))]
+    converged = levels[0].distance < tol
+    period = k = 0
+    while not (converged or period) and k < k_max:
+        try:
+            new = poly.apply(state) if diagonal else general_map(code, state)
+        except OverflowError:
+            break
+        dist = max_entry_distance(new)
+        if not math.isfinite(dist):
+            break
+        converged = dist < tol
+        if diagonal and not converged:
+            # equal channels have equal distances, a cheaper first test
+            if dist == levels[k].distance and new == state:
+                period = 1
+            elif k and dist == levels[k - 1].distance and new == levels[k - 1].channel:
+                period = 2
+        k += 1
+        state = new
+        levels.append(OrbitLevel(k, state, dist))
+    return levels, converged, period
+
+
 def iterate(
     code: StabilizerCode,
     t0: DiagonalChannel | StokesChannel,
@@ -85,38 +115,16 @@ def iterate(
     NaN entry ends it at level 0.
 
     An unconverged diagonal orbit on a fixed point or 2-cycle of the float
-    map has its remaining levels filled in by repetition, not evaluation.
+    map has its remaining levels filled in by repetition, not evaluation;
+    the levels before are those of `_orbit`, the loop `threshold` runs.
     """
-    diagonal = isinstance(t0, DiagonalChannel)
-    poly = diagonal_map(code) if diagonal else None
-    state = t0
-    levels = [OrbitLevel(0, state, max_entry_distance(state))]
-    converged = levels[0].distance < tol
-    k = 0
-    while not converged and k < k_max:
-        try:
-            new = poly.apply(state) if diagonal else general_map(code, state)
-        except OverflowError:
-            break
-        dist = max_entry_distance(new)
-        if not math.isfinite(dist):
-            break
-        converged = dist < tol
-        period = 0
-        if diagonal and not converged:
-            # equal channels have equal distances, a cheaper first test
-            if dist == levels[k].distance and new == state:
-                period = 1
-            elif k and dist == levels[k - 1].distance and new == levels[k - 1].channel:
-                period = 2
-        k += 1
-        state = new
-        levels.append(OrbitLevel(k, state, dist))
-        if period:
-            for j in range(k + 1, k_max + 1):
-                level = levels[j - period]
-                levels.append(OrbitLevel(j, level.channel, level.distance))
-            k = k_max
+    levels, converged, period = _orbit(code, t0, k_max, tol)
+    k = len(levels) - 1
+    if period:
+        for j in range(k + 1, k_max + 1):
+            level = levels[j - period]
+            levels.append(OrbitLevel(j, level.channel, level.distance))
+        k = k_max
     return OrbitRecord(levels=tuple(levels), converged=converged, iterations_used=k)
 
 
@@ -194,11 +202,12 @@ def threshold(
 
     Bisection over eps in [0, 1]; reports the last converging probe, so
     the result is conservative (never above the true threshold by more
-    than the orbit tolerance allows).
+    than the orbit tolerance allows).  Each probe reads the verdict of
+    `iterate(code, ray.channel_at(eps), k_max, tol_conv)` from `_orbit`.
     """
 
     def converges(eps: float) -> bool:
-        return iterate(code, ray.channel_at(eps), k_max=k_max, tol=tol_conv).converged
+        return _orbit(code, ray.channel_at(eps), k_max, tol_conv)[1]
 
     if converges(1.0):
         return 1.0

@@ -200,10 +200,12 @@ class StabilizerCode:
             k[high] = (k[low] + g._k + 2 * np.bitwise_count(z[low] & gx[b])) % 4
             x[high] = x[low] ^ gx[b]
             z[high] = z[low] ^ gz[b]
-        _, first, which = np.unique(
-            np.stack([x, z], axis=1), axis=0, return_index=True, return_inverse=True
-        )
-        first = first[which.ravel()]  # per element, the first subset with its masks
+        # per element, the first subset with its masks: its run's start in a stable sort
+        order = np.lexsort((z, x))
+        runs = np.stack([x, z])[:, order]
+        starts = np.concatenate([[True], (runs[:, 1:] != runs[:, :-1]).any(axis=0)])
+        first = np.empty(size, dtype=np.int64)
+        first[order] = order[starts][np.cumsum(starts) - 1]
         odd_phase = (k - np.bitwise_count(x & z)) % 2 == 1  # i or -i
         bad = np.flatnonzero((first != np.arange(size)) | odd_phase)
         if len(bad):

@@ -17,6 +17,8 @@ the inner cube for the Shor Z component.
 
 import gc
 import hashlib
+import itertools
+import math
 import weakref
 from fractions import Fraction
 
@@ -134,6 +136,13 @@ def test_apply_diagonal_examples():
         assert poly.apply(DiagonalChannel.identity()).as_tuple() == (1, 1, 1)
 
 
+def _summed_float_terms(poly, x, y, z):
+    """The float evaluation as a sum over `float_terms`, term by term."""
+    return tuple(
+        sum((c * x**a * y**b * z**e for c, a, b, e in terms), 0.0) for terms in poly.float_terms
+    )
+
+
 @pytest.mark.parametrize("name", builtin_names())
 def test_apply_gives_the_bits_of_the_exact_monomials_on_floats(name):
     poly = diagonal_map(get_code(name))
@@ -141,6 +150,13 @@ def test_apply_gives_the_bits_of_the_exact_monomials_on_floats(name):
     for x, y, z in points:
         got = poly.apply(DiagonalChannel(x, y, z)).as_tuple()
         assert got == tuple(float(poly.evaluate(s, x, y, z)) for s in ("X", "Y", "Z"))
+    # signed zeros, infinities and NaN in each coordinate, against the term sum
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -0.75, 1.1]
+    for x, y, z in itertools.product(special, repeat=3):
+        got = poly.apply(DiagonalChannel(x, y, z)).as_tuple()
+        assert [v.hex() for v in got] == [v.hex() for v in _summed_float_terms(poly, x, y, z)]
+    with pytest.raises(OverflowError):
+        _summed_float_terms(poly, 1e200, 1.0, 1.0)
     with pytest.raises(OverflowError):
         poly.apply(DiagonalChannel(1e200, 1, 1))
 

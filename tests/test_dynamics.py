@@ -12,6 +12,7 @@ from concatcode import (
     OrbitRecord,
     RaySpec,
     StokesChannel,
+    builtin_names,
     depolarizing,
     diagonal_map,
     error_series,
@@ -242,6 +243,50 @@ def test_shor_dephasing_threshold(shor):
 
 def test_bitflip3_depolarizing_threshold_is_zero(bitflip3):
     assert threshold(bitflip3, RaySpec.depolarizing_ray()) <= 1e-6
+
+
+def _reference_threshold(code, ray, tol_eps=1e-6, tol_conv=1e-9, k_max=60):
+    """The bisection of `threshold`, with each verdict read from `iterate`."""
+
+    def converges(eps):
+        return iterate(code, ray.channel_at(eps), k_max=k_max, tol=tol_conv).converged
+
+    if converges(1.0):
+        return 1.0
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol_eps:
+        mid = 0.5 * (lo + hi)
+        if converges(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _pauli_ray(rng):
+    qx, qy, qz = rng.dirichlet(np.ones(3))
+    d = np.array([qy + qz, qx + qz, qx + qy])
+    return RaySpec.custom(d / d.max())
+
+
+_RAYS = [RaySpec.depolarizing_ray(), RaySpec.dephasing_ray()]
+_RAYS += [_pauli_ray(np.random.default_rng(seed)) for seed in range(4)]
+_RAYS += [RaySpec.custom((-1.0, -1.0, -1.0))]  # probes overflow
+
+
+@pytest.mark.parametrize("ray", _RAYS, ids=lambda r: ",".join(f"{v:.3g}" for v in r.direction))
+@pytest.mark.parametrize("name", builtin_names())
+def test_threshold_matches_a_bisection_over_iterate(name, ray):
+    code = get_code(name)
+    value = threshold(code, ray)
+    assert type(value) is float
+    assert value.hex() == _reference_threshold(code, ray).hex()
+
+
+def test_threshold_matches_a_bisection_over_iterate_with_other_settings(steane):
+    ray = _pauli_ray(np.random.default_rng(11))
+    value = threshold(steane, ray, k_max=7, tol_conv=1e-3)
+    assert value.hex() == _reference_threshold(steane, ray, tol_conv=1e-3, k_max=7).hex()
 
 
 def test_zero_direction_ray_rejected():
