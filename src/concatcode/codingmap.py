@@ -20,6 +20,7 @@ alpha and weight numerators over 2^m, read by popcounts and bit shifts:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -49,14 +50,9 @@ class DiagonalMapPolynomial:
     lexicographic (a, b, c) order; the implicit identity component is the
     constant 1.  Total degree never exceeds `n`.
 
-    `float_terms` is the float form, per component X, Y, Z the tuple of
-    (float(coeff), a, b, c).  `apply` evaluates it with `_evaluator`, one
-    function (x, y, z) -> (X, Y, Z) compiled on construction from generated
-    source, as `dataclasses` builds `__init__`; the source holds only float
-    reprs and integer exponents.  Each component is `0.0 + c * x**a * y**b *
-    z**c + ...` in term order with factors x**0 = 1.0 left out: the sum of
-    the monomials on floats, left to right, so `apply` gives the bits of the
-    exact monomials on floats.  Neither field takes part in equality or repr.
+    `float_terms` is the float form that `apply` evaluates: per component
+    X, Y, Z, the tuple of (float(coeff), a, b, c).  It is derived from
+    `components` on construction and takes no part in equality or repr.
     """
 
     n: int
@@ -64,22 +60,29 @@ class DiagonalMapPolynomial:
     float_terms: tuple[tuple[tuple[float, int, int, int], ...], ...] = field(
         init=False, repr=False, compare=False
     )
-    _evaluator: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         terms = tuple(
             tuple((float(m.coeff), m.a, m.b, m.c) for m in self.components[sigma])
             for sigma in COMPONENTS
         )
+        object.__setattr__(self, "float_terms", terms)
+
+    @functools.cached_property
+    def _evaluator(self) -> Callable[[float, float, float], tuple[float, float, float]]:
+        """`float_terms` compiled on first use into one function (x, y, z) ->
+        (X, Y, Z), from source generated as `dataclasses` generates `__init__`,
+        of float reprs and integer exponents only: per component in term order
+        `0.0 + c * x**a * y**b * z**c + ...`, factors x**0 = 1.0 left out.  Summed
+        left to right as `sum` does, these are the bits of the monomials on floats."""
 
         def product(c, *exps):
             return " * ".join([repr(c)] + [f"{v}**{e}" for v, e in zip("xyz", exps) if e])
 
-        sums = (" + ".join(["0.0"] + [product(*term) for term in component]) for component in terms)
+        sums = (" + ".join(["0.0"] + [product(*t) for t in terms]) for terms in self.float_terms)
         namespace: dict = {}
         exec(f"def evaluator(x, y, z):\n    return ({', '.join(sums)})", namespace)
-        object.__setattr__(self, "float_terms", terms)
-        object.__setattr__(self, "_evaluator", namespace["evaluator"])
+        return namespace["evaluator"]
 
     def evaluate(self, sigma: str, x, y, z):
         """Evaluate one component; exact when the inputs are Fractions."""
