@@ -74,7 +74,8 @@ class DiagonalMapPolynomial:
         (X, Y, Z), from source generated as `dataclasses` generates `__init__`,
         of float reprs and integer exponents only: per component in term order
         `0.0 + c * x**a * y**b * z**c + ...`, factors x**0 = 1.0 left out.  Summed
-        left to right as `sum` does, these are the bits of the monomials on floats."""
+        left to right, as Python 3.11's `sum` adds floats, these are the bits of
+        the exact monomials on floats (Fraction * float is float(coeff) * float)."""
 
         def product(c, *exps):
             return " * ".join([repr(c)] + [f"{v}**{e}" for v, e in zip("xyz", exps) if e])
