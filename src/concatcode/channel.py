@@ -161,12 +161,19 @@ def is_valid_channel(channel, tol: float = 1e-10) -> bool:
 _EYE = np.eye(4)
 
 
+def deficit_distance(x, y, z) -> float:
+    """max(|1 - x|, |1 - y|, |1 - z|), the distance of the diagonal channel
+    [x, y, z] to the identity; NaN if any of x, y, z is NaN."""
+    dx, dy, dz = abs(1.0 - x), abs(1.0 - y), abs(1.0 - z)
+    # the deficits are non-negative, so their sum is NaN only if one of them
+    # is; it may overflow to inf, so it says nothing about finiteness
+    return math.nan if math.isnan(dx + dy + dz) else max(dx, dy, dz)
+
+
 def max_entry_distance(channel) -> float:
     """Largest |entry| of (T - Id) in Stokes form; NaN if any entry is NaN."""
     if isinstance(channel, DiagonalChannel):
-        dx, dy, dz = abs(1.0 - channel.x), abs(1.0 - channel.y), abs(1.0 - channel.z)
-        # the deficits are non-negative, so their sum is NaN only if one of them is
-        return math.nan if math.isnan(dx + dy + dz) else max(dx, dy, dz)
+        return deficit_distance(channel.x, channel.y, channel.z)
     return float(np.abs(channel.matrix - _EYE).max())
 
 

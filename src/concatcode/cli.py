@@ -310,6 +310,7 @@ def _checked(kind, valid: str, test):
 _LEVELS = _checked(int, "at least 0", lambda v: v >= 0)
 _AT_LEAST_ONE = _checked(int, "at least 1", lambda v: v >= 1)
 _TOLERANCE = _checked(float, "positive and finite", lambda v: 0 < v < math.inf)
+_STOP_TOL = _checked(float, "finite and at least 0", lambda v: 0 <= v < math.inf)
 
 
 def _build_parser(default_seed: int) -> argparse.ArgumentParser:
@@ -332,7 +333,7 @@ def _build_parser(default_seed: int) -> argparse.ArgumentParser:
     p.add_argument("--symbolic", action="store_true", help="emit the exact polynomials")
     p.add_argument("--channel", default=None, help="channel literal to iterate")
     p.add_argument("--levels", type=_LEVELS, default=1, help="number of coding levels")
-    p.add_argument("--tol", type=float, default=0.0, help="stop early below this distance")
+    p.add_argument("--tol", type=_STOP_TOL, default=0.0, help="stop early below this distance")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     add_common(p)
 
@@ -340,7 +341,7 @@ def _build_parser(default_seed: int) -> argparse.ArgumentParser:
     p.add_argument("code")
     p.add_argument("--channel", required=True)
     p.add_argument("--levels", type=_LEVELS, default=60)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_STOP_TOL, default=1e-9)
     p.add_argument("--format", choices=["json", "csv"], default="csv")
     p.set_defaults(symbolic=False)
     add_common(p)

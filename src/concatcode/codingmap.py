@@ -50,7 +50,7 @@ class DiagonalMapPolynomial:
     lexicographic (a, b, c) order; the implicit identity component is the
     constant 1.  Total degree never exceeds `n`.
 
-    `float_terms` is the float form that `apply` evaluates: per component
+    `float_terms` is the float form that `evaluator` compiles: per component
     X, Y, Z, the tuple of (float(coeff), a, b, c).  It is derived from
     `components` on construction and takes no part in equality or repr.
     """
@@ -69,10 +69,14 @@ class DiagonalMapPolynomial:
         object.__setattr__(self, "float_terms", terms)
 
     @functools.cached_property
-    def _evaluator(self) -> Callable[[float, float, float], tuple[float, float, float]]:
-        """`float_terms` compiled on first use into one function (x, y, z) ->
-        (X, Y, Z), from source generated as `dataclasses` generates `__init__`,
-        of float reprs and integer exponents only: per component in term order
+    def evaluator(self) -> Callable[[float, float, float], tuple[float, float, float]]:
+        """The float map (x, y, z) -> (X, Y, Z) on plain floats, which `apply`
+        and the diagonal orbit loop call; raises OverflowError where a power
+        leaves the float range.
+
+        `float_terms` compiled on first use into one function, from source
+        generated as `dataclasses` generates `__init__`, of float reprs and
+        integer exponents only: per component in term order
         `0.0 + c * x**a * y**b * z**c + ...`, factors x**0 = 1.0 left out.  Summed
         left to right, as Python 3.11's `sum` adds floats, these are the bits of
         the exact monomials on floats (Fraction * float is float(coeff) * float)."""
@@ -94,7 +98,7 @@ class DiagonalMapPolynomial:
 
         Raises OverflowError where a power leaves the float range.
         """
-        return DiagonalChannel(*self._evaluator(float(t.x), float(t.y), float(t.z)))
+        return DiagonalChannel(*self.evaluator(float(t.x), float(t.y), float(t.z)))
 
     def depolarizing_line(self, sigma: str) -> tuple[Fraction, ...]:
         """Coefficients (degree-ascending) of the restriction x = y = z = t."""

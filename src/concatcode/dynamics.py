@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import DiagonalChannel, StokesChannel, max_entry_distance
+from .channel import DiagonalChannel, StokesChannel, deficit_distance, max_entry_distance
 from .codingmap import COMPONENTS, c_constants, diagonal_map, general_map
 from .stabilizer import StabilizerCode, get_code
 
@@ -70,34 +70,59 @@ class RaySpec:
         return DiagonalChannel(1.0 - eps * dx, 1.0 - eps * dy, 1.0 - eps * dz)
 
 
-def _orbit(code, t0, k_max: int, tol: float) -> tuple[list[OrbitLevel], bool, int]:
-    """The evaluated levels of `iterate`'s orbit, whether it converged, and
-    the period (1 or 2) of the float cycle it stopped on, else 0."""
-    diagonal = isinstance(t0, DiagonalChannel)
-    poly = diagonal_map(code) if diagonal else None
-    state = t0
-    levels = [OrbitLevel(0, state, max_entry_distance(state))]
-    converged = levels[0].distance < tol
+def _diagonal_orbit(
+    code, t0: DiagonalChannel, k_max: int, tol: float
+) -> tuple[list[tuple[float, float, float]], list[float], bool, int]:
+    """The evaluated levels of `iterate`'s orbit of a diagonal input as float
+    triples and their distances to the identity, whether it converged, and the
+    period (1 or 2) of the float cycle it stopped on, else 0.
+
+    One `evaluator` call and no channel object per level.  State 0 is the
+    input's entries as floats; distance 0 is the input's own.
+    """
+    evaluate = diagonal_map(code).evaluator
+    states = [(float(t0.x), float(t0.y), float(t0.z))]
+    distances = [max_entry_distance(t0)]
+    converged = distances[0] < tol
     period = k = 0
     while not (converged or period) and k < k_max:
         try:
-            new = poly.apply(state) if diagonal else general_map(code, state)
+            new = evaluate(*states[k])
         except OverflowError:
             break
+        dist = deficit_distance(*new)
+        if not math.isfinite(dist):
+            break
+        converged = dist < tol
+        if not converged:
+            # equal states have equal distances, a cheaper first test
+            if dist == distances[k] and new == states[k]:
+                period = 1
+            elif k and dist == distances[k - 1] and new == states[k - 1]:
+                period = 2
+        k += 1
+        states.append(new)
+        distances.append(dist)
+    return states, distances, converged, period
+
+
+def _general_orbit(code, t0: StokesChannel, k_max: int, tol: float) -> OrbitRecord:
+    """`iterate`'s orbit of a general input; `general_map` overflows to inf
+    entries, not OverflowError."""
+    state = t0
+    levels = [OrbitLevel(0, state, max_entry_distance(state))]
+    converged = levels[0].distance < tol
+    k = 0
+    while not converged and k < k_max:
+        new = general_map(code, state)
         dist = max_entry_distance(new)
         if not math.isfinite(dist):
             break
         converged = dist < tol
-        if diagonal and not converged:
-            # equal channels have equal distances, a cheaper first test
-            if dist == levels[k].distance and new == state:
-                period = 1
-            elif k and dist == levels[k - 1].distance and new == levels[k - 1].channel:
-                period = 2
         k += 1
         state = new
         levels.append(OrbitLevel(k, state, dist))
-    return levels, converged, period
+    return OrbitRecord(levels=tuple(levels), converged=converged, iterations_used=k)
 
 
 def iterate(
@@ -114,18 +139,24 @@ def iterate(
     level that overflows or has a non-finite entry, and an input with a
     NaN entry ends it at level 0.
 
-    An unconverged diagonal orbit on a fixed point or 2-cycle of the float
-    map has its remaining levels filled in by repetition, not evaluation;
-    the levels before are those of `_orbit`, the loop `threshold` runs.
+    A diagonal orbit's levels are those of `_diagonal_orbit`, the loop
+    `threshold` runs, with level 0 the input itself and each later float
+    triple wrapped in a DiagonalChannel.  If it is unconverged on a fixed
+    point or 2-cycle of the float map, its remaining levels are filled in
+    by repetition, not evaluation.
     """
-    levels, converged, period = _orbit(code, t0, k_max, tol)
-    k = len(levels) - 1
+    if not isinstance(t0, DiagonalChannel):
+        return _general_orbit(code, t0, k_max, tol)
+    states, distances, converged, period = _diagonal_orbit(code, t0, k_max, tol)
+    channels = [t0] + [DiagonalChannel(*state) for state in states[1:]]
+    k = len(channels) - 1
     if period:
         for j in range(k + 1, k_max + 1):
-            level = levels[j - period]
-            levels.append(OrbitLevel(j, level.channel, level.distance))
+            channels.append(channels[j - period])
+            distances.append(distances[j - period])
         k = k_max
-    return OrbitRecord(levels=tuple(levels), converged=converged, iterations_used=k)
+    levels = tuple(map(OrbitLevel, range(len(channels)), channels, distances))
+    return OrbitRecord(levels=levels, converged=converged, iterations_used=k)
 
 
 @dataclass(frozen=True)
@@ -200,20 +231,25 @@ def threshold(
 ) -> float:
     """Largest noise strength along the ray whose orbit still converges.
 
-    Bisection over eps in [0, 1]; reports the last converging probe, so
-    the result is conservative (never above the true threshold by more
-    than the orbit tolerance allows).  Each probe reads the verdict of
-    `iterate(code, ray.channel_at(eps), k_max, tol_conv)` from `_orbit`.
+    Bisection over eps in [0, 1] down to width `tol_eps`, or until `lo` and
+    `hi` are adjacent floats; reports the last converging probe, so the
+    result is conservative (never above the true threshold by more than the
+    orbit tolerance allows).  Each probe reads only the converged flag of
+    `_diagonal_orbit`, the float-triple loop behind
+    `iterate(code, ray.channel_at(eps), k_max, tol_conv)`, and builds no
+    orbit record.
     """
 
     def converges(eps: float) -> bool:
-        return _orbit(code, ray.channel_at(eps), k_max, tol_conv)[1]
+        return _diagonal_orbit(code, ray.channel_at(eps), k_max, tol_conv)[2]
 
     if converges(1.0):
         return 1.0
     lo, hi = 0.0, 1.0
     while hi - lo > tol_eps:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # no float lies strictly between lo and hi
         if converges(mid):
             lo = mid
         else:

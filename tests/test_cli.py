@@ -3,9 +3,14 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import concatcode
 import concatcode.cli
 import concatcode.dynamics
 from concatcode.cli import main
@@ -249,6 +254,12 @@ def test_output_file(tmp_path, capsys):
         ["threshold", "five-qubit", "--ray", "depol", "--tol", "nan"],
         ["threshold", "five-qubit", "--ray", "depol", "--tol", "inf"],
         ["threshold", "five-qubit", "--ray", "depol", "--tol-conv", "0"],
+        ["orbit", "five-qubit", "--channel", "depol:0.1", "--tol", "inf"],
+        ["orbit", "five-qubit", "--channel", "depol:0.1", "--tol", "nan"],
+        ["orbit", "five-qubit", "--channel", "depol:0.1", "--tol", "-1"],
+        ["map", "five-qubit", "--channel", "depol:0.1", "--tol", "inf"],
+        ["map", "five-qubit", "--channel", "depol:0.1", "--tol", "nan"],
+        ["map", "five-qubit", "--channel", "depol:0.1", "--tol=-1e-300"],
     ],
 )
 def test_bad_counts_and_tolerances_rejected_at_parse_time(capsys, argv):
@@ -259,6 +270,14 @@ def test_bad_counts_and_tolerances_rejected_at_parse_time(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: argument --")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["orbit", "map"])
+def test_orbit_and_map_accept_a_zero_tolerance(capsys, command):
+    payload = run_json(capsys, command, "five-qubit", "--channel", "depol:0.1",
+                       "--tol", "0", "--levels", "3", "--format", "json")
+    assert not payload["converged"]
+    assert payload["iterations_used"] == 3
 
 
 @pytest.mark.parametrize(
@@ -340,6 +359,21 @@ def test_threshold_on_a_diverging_ray_exits_zero(capsys):
     assert payload["threshold"] == 0.13973903656005859
 
 
+def _run_in_subprocess(argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(concatcode.__file__).parents[1])}
+    return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_threshold_with_a_tolerance_below_the_float_spacing_returns(capsys):
+    # a subprocess with a timeout: a bisection that never ends fails the test
+    argv = ["threshold", "five-qubit", "--ray", "depol"]
+    done = _run_in_subprocess([sys.executable, "-m", "concatcode", *argv, "--tol", "1e-20"])
+    assert done.returncode == 0, done.stderr
+    payload = json.loads(done.stdout)
+    assert payload["tol"] == 1e-20
+    assert abs(payload["threshold"] - run_json(capsys, *argv)["threshold"]) <= 1e-6
+
+
 # sha256 of stdout.  These commands compute in exact rationals and Python
 # floats only, so their output is the same on every platform.
 PINNED_STDOUT_SHA256 = {
@@ -385,3 +419,13 @@ def test_pinned_cli_stdout(capsys):
         assert code == 0, command
         got[command] = hashlib.sha256(out.encode()).hexdigest()
     assert got == PINNED_STDOUT_SHA256
+
+
+REPRODUCE_THRESHOLDS_STDOUT_SHA256 = "be64f5bb0ff6b21996dccb08c85204d74e4e9c05b6639beb32eae4d1f78f0b3e"
+
+
+def test_reproduce_thresholds_script_stdout_pinned():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_thresholds.py"
+    done = _run_in_subprocess([sys.executable, str(script)])
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == REPRODUCE_THRESHOLDS_STDOUT_SHA256

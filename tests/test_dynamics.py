@@ -1,13 +1,17 @@
 """Orbit iteration, fixed points, thresholds, Jacobians and the recursion."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import concatcode
 from concatcode import (
     DiagonalChannel,
-    DiagonalMapPolynomial,
     OrbitLevel,
     OrbitRecord,
     RaySpec,
@@ -114,18 +118,81 @@ def _assert_filled_orbit_matches_every_level(code, monkeypatch, t0, evaluations)
         state = poly.apply(state)
         levels.append(OrbitLevel(k, state, max_entry_distance(state)))
     calls = []
-    original = DiagonalMapPolynomial.apply
+    original = poly.evaluator
 
-    def counting(self, t):
-        calls.append(t)
-        return original(self, t)
+    def counting(x, y, z):
+        calls.append((x, y, z))
+        return original(x, y, z)
 
-    monkeypatch.setattr(DiagonalMapPolynomial, "apply", counting)
+    # the compiled evaluator is cached on the instance, which the orbit loop reads
+    monkeypatch.setitem(poly.__dict__, "evaluator", counting)
     record = iterate(code, t0)
     assert record == OrbitRecord(levels=tuple(levels), converged=False, iterations_used=60)
     bits = [[v.hex() for v in l.channel.as_tuple()] for l in levels]
     assert [[v.hex() for v in l.channel.as_tuple()] for l in record.levels] == bits
     assert len(calls) == evaluations
+
+
+def _reference_iterate(code, t0, k_max=60, tol=1e-9):
+    """The diagonal orbit of `iterate`, computed independently of its loop:
+    one `apply` and one `max_entry_distance` per level, the same stopping and
+    cycle rules, then the levels after a float cycle filled by repetition."""
+    poly = diagonal_map(code)
+    levels = [OrbitLevel(0, t0, max_entry_distance(t0))]
+    converged = levels[0].distance < tol
+    period = 0
+    while not (converged or period) and len(levels) <= k_max:
+        k, state = len(levels) - 1, levels[-1].channel
+        try:
+            new = poly.apply(state)
+        except OverflowError:
+            break
+        dist = max_entry_distance(new)
+        if not math.isfinite(dist):
+            break
+        converged = dist < tol
+        if not converged:
+            if dist == levels[k].distance and new == state:
+                period = 1
+            elif k and dist == levels[k - 1].distance and new == levels[k - 1].channel:
+                period = 2
+        levels.append(OrbitLevel(k + 1, new, dist))
+    k = len(levels) - 1
+    if period:
+        for j in range(k + 1, k_max + 1):
+            levels.append(OrbitLevel(j, levels[j - period].channel, levels[j - period].distance))
+        k = k_max
+    return OrbitRecord(levels=tuple(levels), converged=converged, iterations_used=k)
+
+
+def _record_bits(record):
+    levels = [
+        (l.k, [v.hex() for v in l.channel.as_tuple()], l.distance.hex()) for l in record.levels
+    ]
+    return record.converged, record.iterations_used, levels
+
+
+def _diagonal_starts(rng, count):
+    """Seeded inputs in [-1.3, 1.3]^3, where many orbits overflow, then NaN
+    and infinite entries, the identity, and fixed-point and 2-cycle inputs."""
+    starts = [DiagonalChannel(*map(float, rng.uniform(-1.3, 1.3, 3))) for _ in range(count)]
+    for bad in (math.nan, math.inf, -math.inf):
+        starts += [DiagonalChannel(bad, 0.5, 0.5), DiagonalChannel(0.9, 0.9, bad)]
+    starts += [DiagonalChannel.identity(), depolarizing(0.3), DiagonalChannel(-0.0, -0.0, -0.0)]
+    starts += [DiagonalChannel(0.75, 0.75, 0.75), DiagonalChannel(0.0, 0.0, 0.0)]
+    return starts
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_iterate_matches_the_reference_loop_bit_for_bit(name):
+    code = get_code(name)
+    starts = _diagonal_starts(np.random.default_rng(list(name.encode())), 40)
+    for t0 in starts:
+        for k_max in (0, 1, 7, 60):
+            for tol in (0.0, 1e-3, 1e-9):
+                got = _record_bits(iterate(code, t0, k_max=k_max, tol=tol))
+                want = _record_bits(_reference_iterate(code, t0, k_max, tol))
+                assert got == want, (t0, k_max, tol)
 
 
 def test_general_orbit_stokes_input(five_qubit):
@@ -246,10 +313,11 @@ def test_bitflip3_depolarizing_threshold_is_zero(bitflip3):
 
 
 def _reference_threshold(code, ray, tol_eps=1e-6, tol_conv=1e-9, k_max=60):
-    """The bisection of `threshold`, with each verdict read from `iterate`."""
+    """The bisection of `threshold`, with each verdict read from the
+    reference orbit loop."""
 
     def converges(eps):
-        return iterate(code, ray.channel_at(eps), k_max=k_max, tol=tol_conv).converged
+        return _reference_iterate(code, ray.channel_at(eps), k_max, tol_conv).converged
 
     if converges(1.0):
         return 1.0
@@ -287,6 +355,25 @@ def test_threshold_matches_a_bisection_over_iterate_with_other_settings(steane):
     ray = _pauli_ray(np.random.default_rng(11))
     value = threshold(steane, ray, k_max=7, tol_conv=1e-3)
     assert value.hex() == _reference_threshold(steane, ray, tol_conv=1e-3, k_max=7).hex()
+
+
+def test_threshold_below_the_float_spacing_ends_at_adjacent_floats(five_qubit):
+    # tol_eps = 0 can only end where no float lies between lo and hi; run in a
+    # subprocess, a bisection that never ends fails the test instead of hanging
+    script = (
+        "from concatcode import RaySpec, get_code, threshold\n"
+        "print(threshold(get_code('five-qubit'), RaySpec.depolarizing_ray(), tol_eps=0.0).hex())"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(concatcode.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60,
+        check=True,
+    )
+    value = float.fromhex(out.stdout)
+    ray = RaySpec.depolarizing_ray()
+    assert iterate(five_qubit, ray.channel_at(value)).converged
+    assert not iterate(five_qubit, ray.channel_at(math.nextafter(value, 1.0))).converged
+    assert abs(value - threshold(five_qubit, ray)) <= 1e-6
 
 
 def test_zero_direction_ray_rejected():
