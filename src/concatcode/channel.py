@@ -91,12 +91,9 @@ class StokesChannel:
         return linalg.kraus_from_choi(self.choi(), cutoff=cutoff)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Image of a 2x2 operator under the superoperator."""
-        coeffs = np.array([np.trace(linalg.PAULI_MATS[t] @ rho) for t in range(4)])
-        out = np.zeros((2, 2), dtype=complex)
-        for s in range(4):
-            out += 0.5 * (self._m[s] @ coeffs) * linalg.PAULI_MATS[s]
-        return out
+        """Image of a 2x2 operator, hermitian or not, under the superoperator."""
+        traces = np.einsum("tab,ba->t", linalg.PAULI_MATS, rho)  # tr(P_t rho)
+        return np.einsum("s,sab->ab", self._m @ traces, linalg.PAULI_MATS) / 2.0
 
     def __repr__(self) -> str:
         return f"StokesChannel({np.array2string(self._m, precision=6)})"

@@ -70,6 +70,15 @@ class RaySpec:
         return DiagonalChannel(1.0 - eps * dx, 1.0 - eps * dy, 1.0 - eps * dz)
 
 
+def _check_orbit_settings(k_max, **tolerances) -> None:
+    """Reject a negative or non-int k_max and NaN, infinite or negative tolerances."""
+    if not isinstance(k_max, (int, np.integer)) or k_max < 0:
+        raise ValueError(f"k_max must be a non-negative int, got {k_max!r}")
+    for name, value in tolerances.items():
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+
+
 def _diagonal_orbit(
     code, t0: DiagonalChannel, k_max: int, tol: float
 ) -> tuple[list[tuple[float, float, float]], list[float], bool, int]:
@@ -137,7 +146,7 @@ def iterate(
     general inputs through the full 4x4 map.  Divergence is a recorded
     outcome, not an error: the orbit ends, unconverged, before the first
     level that overflows or has a non-finite entry, and an input with a
-    NaN entry ends it at level 0.
+    NaN entry ends it at level 0.  Vacuous settings raise ValueError.
 
     A diagonal orbit's levels are those of `_diagonal_orbit`, the loop
     `threshold` runs, with level 0 the input itself and each later float
@@ -145,6 +154,7 @@ def iterate(
     point or 2-cycle of the float map, its remaining levels are filled in
     by repetition, not evaluation.
     """
+    _check_orbit_settings(k_max, tol=tol)
     if not isinstance(t0, DiagonalChannel):
         return _general_orbit(code, t0, k_max, tol)
     states, distances, converged, period = _diagonal_orbit(code, t0, k_max, tol)
@@ -237,8 +247,9 @@ def threshold(
     orbit tolerance allows).  Each probe reads only the converged flag of
     `_diagonal_orbit`, the float-triple loop behind
     `iterate(code, ray.channel_at(eps), k_max, tol_conv)`, and builds no
-    orbit record.
+    orbit record.  Settings are checked as in `iterate`.
     """
+    _check_orbit_settings(k_max, tol_eps=tol_eps, tol_conv=tol_conv)
 
     def converges(eps: float) -> bool:
         return _diagonal_orbit(code, ray.channel_at(eps), k_max, tol_conv)[2]

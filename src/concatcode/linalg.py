@@ -53,11 +53,7 @@ def kraus_from_choi(
     vals, vecs = np.linalg.eigh(choi)
     if vals[0] < -cp_tol:
         raise ValueError(f"map is not completely positive (Choi eigenvalue {vals[0]:.3e})")
-    kraus = []
-    for lam, v in zip(vals, vecs.T):
-        if lam > cutoff:
-            kraus.append(np.sqrt(lam) * v.reshape(2, 2))
-    return kraus
+    return [np.sqrt(lam) * v.reshape(2, 2) for lam, v in zip(vals, vecs.T) if lam > cutoff]
 
 
 def stokes_from_kraus(kraus) -> np.ndarray:

@@ -1,14 +1,12 @@
-"""Dense density-matrix reference simulation of one coding level.
+"""Dense reference simulation of one coding level, in the Heisenberg picture.
 
-Everything here works on explicit 2^n-dimensional matrices: codewords
-come from the codespace projector, noise acts qubit by qubit through the
-process tensor of the channel's Kraus operators, and recovery plus
-decoding is one sum over the decoded recovery operators W_j = E^dag R_j P_j
-(encoder E, recovery R_j, syndrome projector P_j).  W_j^dag is built by
-applying the dense factors (I +- g)/2 of each generator g to R_j^dag E,
-so no syndrome projector is formed.  No Pauli-algebra shortcut of the
-polynomial code path is reused, which makes `extract_stokes` an
-independent check of `general_map`.  Bounded to n <= 9 physical qubits.
+Decoding uses W_j = E^dag R_j P_j (encoder E, recovery R_j, syndrome projector
+P_j), with W_j^dag made by applying each generator's (I +- g)/2 to R_j^dag E.
+Each code keeps A_s = sum_j W_j^dag P_s W_j and B_t = E (P_t / 2) E^dag as real
+Pauli coefficients, so a channel N costs one adjoint pass over the four A_s:
+T[s, t] = tr(N^dag(A_s) B_t).  No Pauli-algebra shortcut of the polynomial code
+path is reused, so `extract_stokes` independently checks `general_map`.  Bounded
+to n <= 9 physical qubits.
 """
 
 from __future__ import annotations
@@ -24,6 +22,9 @@ from .stabilizer import CapabilityError, StabilizerCode, per_code
 
 MAX_DENSE_QUBITS = 9
 
+# vec(X) of a 2x2 operator X to its Pauli traces tr(P_s X): row s is conj(P_s)
+_TO_PAULI = linalg.PAULI_MATS.conj().reshape(4, 4)
+
 
 @dataclass(frozen=True)
 class LogicalBasis:
@@ -35,33 +36,50 @@ class LogicalBasis:
 
 @dataclass(frozen=True)
 class _DenseParts:
-    basis: LogicalBasis
     encoder: np.ndarray  # (2^n, 2) isometry E
     decoders: np.ndarray  # stacked W_j = E^dag R_j P_j, shape (2^m, 2, 2^n)
+    observables: np.ndarray  # (4^n, 4): column s holds the coefficients of A_s
+    inputs: np.ndarray  # (4^n, 4): column t holds the traces tr(P_alpha B_t)
 
 
-def _dense_generators(code: StabilizerCode) -> list[np.ndarray]:
-    """Dense generator matrices, for codes within the size bound only."""
+def _dense_generators(code: StabilizerCode) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each generator g as the signed row permutation (columns, factors) of
+    its dense matrix, (g @ x)[r] = factors[r] * x[columns[r]]; n <= 9 only."""
     if code.n > MAX_DENSE_QUBITS:
         raise CapabilityError(
             f"dense simulation is limited to n <= {MAX_DENSE_QUBITS}, code has n = {code.n}"
         )
-    return [linalg.pauli_dense(g) for g in code.generators]
+    dense = [linalg.pauli_dense(g) for g in code.generators]
+    return [(np.abs(d).argmax(axis=1), d.sum(axis=1)) for d in dense]  # one nonzero per row
 
 
 def _project(generators, x: np.ndarray, syndromes) -> np.ndarray:
     """Apply the syndrome projector prod_i (I + (-1)^{bit i} g_i)/2 to the
     columns of x; `syndromes` gives each column's syndrome (broadcast)."""
-    for i, g in enumerate(generators):
-        sign = 1 - 2 * ((syndromes >> i) & 1)
-        x = (x + sign * (g @ x)) / 2.0
+    for i, (columns, factors) in enumerate(generators):
+        image = factors[:, None] * x[columns]
+        image *= 0.5 - ((syndromes >> i) & 1)
+        x = image + 0.5 * x
     return x
+
+
+def _per_qubit(single: np.ndarray, data: np.ndarray, n: int) -> np.ndarray:
+    """Apply the 4x4 `single` to the n leading length-4 axes of `data` (read only),
+    two per step by their Kronecker product, each step one matmul written transposed
+    into one of two buffers so those axes move last: a trailing axis comes out first."""
+    pair = (single[:, None, :, None] * single[None, :, None, :]).reshape(16, 16)  # kron
+    buffers = [np.empty(data.size, dtype=np.result_type(single, data)) for _ in range(2)]
+    for i, step in enumerate([pair] * (n // 2) + [single] * (n % 2)):
+        rest = data.size // len(step)
+        out = buffers[i % 2].reshape(rest, len(step))
+        data = np.matmul(data.reshape(len(step), rest).T, step.T, out=out)
+    return data
 
 
 @per_code
 def _dense_parts(code: StabilizerCode) -> _DenseParts:
     generators = _dense_generators(code)
-    dim = 1 << code.n
+    n, dim = code.n, 1 << code.n
 
     plus_z = _project(generators, (np.eye(dim) + linalg.pauli_dense(code.logical_z)) / 2.0, 0)
     norms = np.linalg.norm(plus_z, axis=0)
@@ -75,17 +93,28 @@ def _dense_parts(code: StabilizerCode) -> _DenseParts:
     # R_j^dag E for all j, factor by factor; letters are hermitian, phases conjugate
     recoveries = code.recovery_by_syndrome()
     count = len(recoveries)
+    letters = linalg.PAULI_MATS[[[LETTERS.index(c) for c in r.letters] for r in recoveries]]
     stack = np.conj([r.phase for r in recoveries])[:, None, None] * encoder
-    for q in range(code.n):
-        letters = linalg.PAULI_MATS[[LETTERS.index(r.letters[q]) for r in recoveries]]
+    for q in range(n):
         split = stack.reshape(count, 1 << q, 2, -1)  # qubit q on its own axis
-        stack = np.einsum("jab,jcbd->jcad", letters, split).reshape(stack.shape)
+        stack = np.matmul(letters[:, q, None], split).reshape(stack.shape)
 
     # W_j^dag = P_j R_j^dag E, with every syndrome's two columns side by side
     columns_by_syndrome = stack.transpose(1, 0, 2).reshape(dim, 2 * count)
     w_dag = _project(generators, columns_by_syndrome, np.repeat(np.arange(count), 2))
     decoders = w_dag.conj().T.reshape(count, 2, dim)
-    return _DenseParts(LogicalBasis(ket0, ket1), encoder, decoders)
+
+    def coefficients(x: np.ndarray, scale: float) -> np.ndarray:  # scale^n tr(P_alpha x)
+        order = [axis for q in range(n) for axis in (q, n + q)]  # (row, column) per qubit
+        pairs = x.reshape((2,) * (2 * n)).transpose(order).copy()
+        return _per_qubit(scale * _TO_PAULI, pairs, n).real.ravel()
+
+    # A_s = sum_j W_j^dag P_s W_j and B_t one at a time: transients stay near 4 x 2^n x 2^n
+    observables, inputs = np.empty((2, 4**n, 4))
+    for s, pauli in enumerate(linalg.PAULI_MATS):
+        observables[:, s] = coefficients(w_dag @ (pauli @ decoders).reshape(-1, dim), 0.5)
+        inputs[:, s] = coefficients(encoder @ (pauli / 2.0) @ encoder.conj().T, 1.0)
+    return _DenseParts(encoder, decoders, observables, inputs)
 
 
 def build_logical_basis(code: StabilizerCode) -> LogicalBasis:
@@ -94,7 +123,7 @@ def build_logical_basis(code: StabilizerCode) -> LogicalBasis:
     ket0 is the first column (ascending computational-basis index) of
     P_C (I + Z_bar)/2 with nonzero norm, normalized; ket1 = X_bar ket0.
     """
-    return _dense_parts(code).basis
+    return LogicalBasis(*_dense_parts(code).encoder.T)
 
 
 @per_code
@@ -106,63 +135,34 @@ def syndrome_projectors(code: StabilizerCode) -> tuple[np.ndarray, ...]:
     return tuple(_project(generators, eye, j) for j in range(1 << code.m))
 
 
-def _simulate_batch(code: StabilizerCode, channel, rhos: np.ndarray) -> np.ndarray:
-    """Encode / product noise / recover / decode a stack of 2x2 operators.
-
-    Noise acts in Liouville order, each qubit's (row, column) pair one axis
-    of length 4: a 4x4 matmul on the leading pair, then a transposed copy
-    that moves it last.  Two buffers made once per call hold every step.
-    """
-    parts = _dense_parts(code)
-    t = as_stokes(channel)
-    if not t.is_trace_preserving():
-        raise ValueError("the dense simulation requires a trace-preserving channel")
-    kraus = np.array(t.kraus_operators(cutoff=1e-12))
-    process = np.einsum("eac,ebd->abcd", kraus, kraus.conj()).reshape(4, 4)
-
-    n, batch, dim = code.n, len(rhos), 1 << code.n
-    plain = np.empty((batch, dim, dim), dtype=complex)  # axes (batch, rows, columns)
-    pairs = np.empty_like(plain)
-    np.matmul(parts.encoder @ rhos, parts.encoder.conj().T, out=plain)
-    qubits = plain.reshape((batch,) + (2,) * (2 * n))  # row bits, then column bits
-    order = [0] + [axis for q in range(n) for axis in (1 + q, 1 + n + q)]
-    np.copyto(pairs.reshape((2,) * (2 * n) + (batch,)), qubits.transpose(order[1:] + [0]))
-    rest = pairs.size // 4
-    for _ in range(n):
-        np.matmul(process, pairs.reshape(4, rest), out=plain.reshape(4, rest))
-        np.copyto(pairs.reshape(rest, 4), plain.reshape(4, rest).T)
-    np.copyto(qubits, pairs.reshape(qubits.shape).transpose(np.argsort(order)))
-
-    # sum_j W_j rho W_j^dag, conjugated twice so that no conj(W) is formed
-    w = parts.decoders
-    half = np.matmul(w.reshape(-1, dim), plain, out=pairs).reshape(batch, *w.shape)
-    np.conjugate(half, out=half)
-    return np.matmul(half, w.transpose(0, 2, 1)).sum(axis=1).conj()
-
-
 def simulate(code: StabilizerCode, channel, rho0: np.ndarray) -> np.ndarray:
-    """Push a 2x2 operator through encode / product noise / recover / decode.
-
-    The channel must be trace-preserving and completely positive; its
-    Kraus operators come from the Choi eigendecomposition (eigenvalue
-    cutoff 1e-12) and act qubit by qubit.
-    """
-    rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 operator, got shape {rho0.shape}")
-    return _simulate_batch(code, channel, rho0[None])[0]
+    """Push a 2x2 operator, hermitian or not, through encode / noise / recover /
+    decode: the level is linear, so this is `extract_stokes` applied to rho0."""
+    if np.shape(rho0) != (2, 2):
+        raise ValueError(f"expected a 2x2 operator, got shape {np.shape(rho0)}")
+    return extract_stokes(code, channel).apply(rho0)
 
 
 def extract_stokes(code: StabilizerCode, channel) -> StokesChannel:
-    """Effective Stokes matrix of one coding level, all four inputs in one dense run.
+    """Effective Stokes matrix T[s, t] = tr(N^dag(A_s) B_t) of one coding level.
 
-    Column t of the result is the Pauli expansion of simulate(P_t / 2).
-    """
-    images = _simulate_batch(code, channel, linalg.PAULI_MATS / 2.0)
-    out = np.einsum("sab,tba->st", linalg.PAULI_MATS, images)
-    if np.max(np.abs(out.imag)) > 1e-9:
-        raise RuntimeError("effective channel has a non-real Stokes entry")
-    return StokesChannel(out.real)
+    The channel must be finite, trace-preserving and completely positive; the
+    adjoint process of its Choi Kraus operators (eigenvalue cutoff 1e-12),
+    rotated into the Pauli basis, acts on each qubit of the four A_s."""
+    parts = _dense_parts(code)
+    t = as_stokes(channel)
+    if not np.isfinite(t.matrix).all():
+        raise ValueError("the dense simulation requires a channel with finite entries")
+    if not t.is_trace_preserving():
+        raise ValueError("the dense simulation requires a trace-preserving channel")
+    kraus = np.array(t.kraus_operators(cutoff=1e-12))
+    # N^dag(X)[a, b] = sum_e conj(K_e[c, a]) X[c, d] K_e[d, b]
+    adjoint = np.einsum("eca,edb->abcd", kraus.conj(), kraus).reshape(4, 4)
+    process = _TO_PAULI @ adjoint @ _TO_PAULI.conj().T / 2.0
+    if np.max(np.abs(process.imag)) > 1e-9:
+        raise RuntimeError("the noise process has a non-real Pauli entry")
+    observables = _per_qubit(process.real, parts.observables, code.n)
+    return StokesChannel(observables.reshape(4, -1) @ parts.inputs)
 
 
 def max_oracle_deviation(code: StabilizerCode, trials: int, seed: int = 0) -> float:
@@ -171,11 +171,7 @@ def max_oracle_deviation(code: StabilizerCode, trials: int, seed: int = 0) -> fl
     from .channel import random_cptp
     from .codingmap import general_map
 
-    worst = 0.0
     rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        channel = random_cptp(rng)
-        dense = extract_stokes(code, channel).matrix
-        algebraic = general_map(code, channel).matrix
-        worst = max(worst, float(np.max(np.abs(dense - algebraic))))
-    return worst
+    channels = (random_cptp(rng) for _ in range(trials))
+    gaps = [extract_stokes(code, c).matrix - general_map(code, c).matrix for c in channels]
+    return max([0.0] + [float(np.max(np.abs(gap))) for gap in gaps])

@@ -519,3 +519,46 @@ def test_grid_c_m_for_another_code_named_five_qubit(steane):
     bound = general_bound_check(impostor)
     assert bound.c_m_source == "grid"
     assert bound.value == general_bound_check(steane).value
+
+
+# -- settings -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {"tol_eps": math.nan},
+        {"tol_eps": math.inf},
+        {"tol_eps": -1e-6},
+        {"tol_conv": math.inf},
+        {"tol_conv": math.nan},
+        {"tol_conv": -1e-9},
+        {"k_max": -1},
+        {"k_max": 2.0},
+    ],
+    ids=repr,
+)
+def test_threshold_rejects_vacuous_settings(five_qubit, settings):
+    # tol_eps = nan used to return 0.0, tol_conv = inf 1.0 and tol_conv = nan 0.0
+    with pytest.raises(ValueError):
+        threshold(five_qubit, RaySpec.depolarizing_ray(), **settings)
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [{"tol": math.inf}, {"tol": math.nan}, {"tol": -1.0}, {"k_max": -1}, {"k_max": 1.5}],
+    ids=repr,
+)
+@pytest.mark.parametrize("t0", [depolarizing(0.3), random_cptp(np.random.default_rng(2))], ids=type)
+def test_iterate_rejects_vacuous_settings(five_qubit, settings, t0):
+    # tol = inf used to report every finite input converged at level 0
+    with pytest.raises(ValueError):
+        iterate(five_qubit, t0, **settings)
+
+
+def test_zero_tolerances_and_zero_levels_stay_valid(five_qubit):
+    record = iterate(five_qubit, depolarizing(0.01), k_max=0, tol=0.0)
+    assert record.iterations_used == 0 and not record.converged
+    assert iterate(five_qubit, StokesChannel.identity(), k_max=0, tol=0.0).iterations_used == 0
+    assert iterate(five_qubit, depolarizing(0.01), k_max=np.int64(3)).iterations_used == 3
+    assert threshold(five_qubit, RaySpec.depolarizing_ray(), k_max=0) == 0.0

@@ -29,8 +29,55 @@ from concatcode import (
 from concatcode.linalg import PAULI_MATS, apply_map_on_qubit, pauli_dense
 from concatcode.oracle import _dense_parts, syndrome_projectors
 from concatcode.pauli import eta
+from concatcode.stabilizer import parse_code_spec
 
 DENSE_CODES = ("bitflip3", "five-qubit", "steane")
+
+# an even-n code whose generators carry Y letters: the Y-basis repetition code
+Y_REPETITION4 = """n 4
+generator YYII
+generator IYYI
+generator IIYY
+logicalX XXXX
+logicalZ YIII
+recovery auto
+"""
+
+
+def _reference_simulate(code, channel, rhos):
+    """The forward pass: encode a stack of 2x2 operators, apply the product
+    noise in Liouville order, then recover and decode as sum_j W_j rho W_j^dag.
+
+    Each qubit's (row, column) pair is one axis of length 4: a 4x4 matmul on
+    the leading pair, then a transposed copy that moves it last.
+    """
+    parts = _dense_parts(code)
+    kraus = np.array(channel.kraus_operators(cutoff=1e-12))
+    process = np.einsum("eac,ebd->abcd", kraus, kraus.conj()).reshape(4, 4)
+
+    n, batch, dim = code.n, len(rhos), 1 << code.n
+    plain = np.empty((batch, dim, dim), dtype=complex)  # axes (batch, rows, columns)
+    pairs = np.empty_like(plain)
+    np.matmul(parts.encoder @ rhos, parts.encoder.conj().T, out=plain)
+    qubits = plain.reshape((batch,) + (2,) * (2 * n))  # row bits, then column bits
+    order = [0] + [axis for q in range(n) for axis in (1 + q, 1 + n + q)]
+    np.copyto(pairs.reshape((2,) * (2 * n) + (batch,)), qubits.transpose(order[1:] + [0]))
+    rest = pairs.size // 4
+    for _ in range(n):
+        np.matmul(process, pairs.reshape(4, rest), out=plain.reshape(4, rest))
+        np.copyto(pairs.reshape(rest, 4), plain.reshape(4, rest).T)
+    np.copyto(qubits, pairs.reshape(qubits.shape).transpose(np.argsort(order)))
+
+    # sum_j W_j rho W_j^dag, conjugated twice so that no conj(W) is formed
+    w = parts.decoders
+    half = np.matmul(w.reshape(-1, dim), plain, out=pairs).reshape(batch, *w.shape)
+    np.conjugate(half, out=half)
+    return np.matmul(half, w.transpose(0, 2, 1)).sum(axis=1).conj()
+
+
+def _reference_stokes(code, channel):
+    images = _reference_simulate(code, channel, PAULI_MATS / 2.0)
+    return np.einsum("sab,tba->st", PAULI_MATS, images)
 
 
 def test_bitflip3_codewords(bitflip3):
@@ -95,9 +142,9 @@ def test_decoders_match_full_projector_product(name):
         np.testing.assert_allclose(parts.decoders[j], expected, atol=1e-12)
 
 
-@pytest.mark.parametrize("name", ["bitflip3", "five-qubit"])
+@pytest.mark.parametrize("name", ["bitflip3", "five-qubit", "steane"])
 def test_simulate_matches_qubit_by_qubit_process_tensors(name):
-    """The Liouville-order noise stage against apply_map_on_qubit, which
+    """The oracle against a forward pass through apply_map_on_qubit, which
     contracts the process tensor on one qubit's row and column axes, on a
     non-hermitian input."""
     code = get_code(name)
@@ -132,9 +179,10 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
 @pytest.mark.skipif(sys.platform != "linux", reason="minor page faults as glibc counts them")
 @pytest.mark.parametrize("mmap_threshold", [None, "131072"])
 def test_steane_extraction_touches_few_fresh_pages(mmap_threshold):
-    """A Steane extraction keeps its dense steps in two buffers of 1 MiB,
-    allocated once per call rather than per qubit, so whether malloc serves
-    them from the heap or by mmap costs at most about 512 faults of 4 KiB."""
+    """A Steane extraction keeps its noise steps in two real buffers of
+    512 KiB, allocated once per call rather than per qubit, so whether malloc
+    serves them from the heap or by mmap costs at most about 256 faults of
+    4 KiB."""
     env = {**os.environ, "PYTHONPATH": str(Path(concatcode.__file__).parents[1])}
     env.pop("MALLOC_MMAP_THRESHOLD_", None)
     if mmap_threshold is not None:
@@ -144,6 +192,42 @@ def test_steane_extraction_touches_few_fresh_pages(mmap_threshold):
         env=env, capture_output=True, text=True, check=True,
     )
     assert float(out.stdout) < 1000
+
+
+@pytest.mark.parametrize(
+    ("name", "channels"), [("bitflip3", 4), ("five-qubit", 4), ("steane", 3), ("shor", 2)]
+)
+def test_extract_stokes_matches_reference_forward_pass(name, channels):
+    code = get_code(name)
+    rng = np.random.default_rng(23)
+    for _ in range(channels):
+        channel = random_cptp(rng)
+        expected = _reference_stokes(code, channel)
+        assert np.max(np.abs(expected.imag)) <= 1e-12
+        dense = extract_stokes(code, channel).matrix
+        np.testing.assert_allclose(dense, expected.real, rtol=0, atol=1e-12)
+
+
+def test_even_code_with_y_generators_matches_reference_forward_pass():
+    # n = 4 runs the noise pass in pairs only; Y letters give complex generator rows
+    code = parse_code_spec(Y_REPETITION4)
+    rng = np.random.default_rng(29)
+    for _ in range(3):
+        channel = random_cptp(rng)
+        expected = _reference_stokes(code, channel)
+        dense = extract_stokes(code, channel).matrix
+        np.testing.assert_allclose(dense, expected.real, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dense, general_map(code, channel).matrix, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", DENSE_CODES)
+def test_simulate_matches_reference_on_non_hermitian_input(name):
+    code = get_code(name)
+    rng = np.random.default_rng(31)
+    channel = random_cptp(rng)
+    rho0 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    expected = _reference_simulate(code, channel, rho0[None])[0]
+    np.testing.assert_allclose(simulate(code, channel, rho0), expected, rtol=0, atol=1e-12)
 
 
 def test_identity_channel_roundtrip(five_qubit):
@@ -215,6 +299,19 @@ def test_oracle_rejects_non_tp(five_qubit):
     not_tp[0, 0] = 0.9
     with pytest.raises(ValueError):
         simulate(five_qubit, StokesChannel(not_tp), PAULI_MATS[0] / 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_oracle_rejects_non_finite_channels(five_qubit, bad):
+    for entry in [(0, 0), (2, 1), (3, 3)]:
+        matrix = np.eye(4)
+        matrix[entry] = bad
+        with pytest.raises(ValueError, match="finite"):
+            extract_stokes(five_qubit, StokesChannel(matrix))
+        with pytest.raises(ValueError, match="finite"):
+            simulate(five_qubit, StokesChannel(matrix), PAULI_MATS[0] / 2)
+    with pytest.raises(ValueError, match="finite"):
+        extract_stokes(five_qubit, DiagonalChannel(1.0, bad, 1.0))
 
 
 def test_oracle_rejects_bad_state_shape(five_qubit):
