@@ -8,10 +8,11 @@ per code instance from one source, the decoding coefficient tables
 alpha and weight numerators over 2^m, read by popcounts and bit shifts:
 
 * `compiled_map` holds every entry of the full 4x4 image as merged
-  monomials in the 16 input entries: the sum over stabilizer pairs.
-  `general_map` evaluates it in floating point at O(n) per monomial,
-  on trace-preserving inputs only the monomials free of row 0 off the
-  diagonal (`trace_preserving_map`), `general_map_exact` in exact rationals;
+  monomials in the 16 input entries: the sum over stabilizer pairs;
+  `trace_preserving_map` only those free of row 0 off the diagonal, from
+  the quarter or so of the pairs that form them.  `general_map` evaluates
+  the latter on inputs whose row 0 is (1, 0, 0, 0), the former on others,
+  at O(n) per monomial; `general_map_exact` the former in exact rationals;
 * `diagonal_map` holds the exact multivariate polynomials of the three
   diagonal components: the part of that pair sum where both members of
   the pair are the same row.  Diagonal inputs stay diagonal, so these
@@ -21,7 +22,6 @@ alpha and weight numerators over 2^m, read by popcounts and bit shifts:
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -184,67 +184,85 @@ class CompiledMap:
     numerators: np.ndarray  # (K,) integers
 
 
-@per_code
-def compiled_map(code: StabilizerCode) -> CompiledMap:
-    """Entry (s, t) of the image sums beta[s]_j * alpha[t]_i over all
-    stabilizer pairs, times the product of input entries along the letter
+def _reduce(keys, nums, kind=None):
+    """The distinct keys in ascending order, the position of each one's first
+    occurrence and the sums of their numerators."""
+    order = np.argsort(keys, kind=kind)
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    return keys[starts], np.minimum.reduceat(order, starts), np.add.reduceat(nums[order], starts)
+
+
+def _merge(code: StabilizerCode, tp: bool) -> CompiledMap:
+    """Entry (s, t) of the image sums beta[s]_j * alpha[t]_i over stabilizer
+    pairs (j, i), times the product of input entries along the letter
     patterns of |S_j s_bar| and |S_i t_bar|.  That product depends only on
     how often each (row letter, column letter) pair occurs, so pairs with
-    equal 16-count vectors merge exactly.  A block's count vectors come
-    from two float64 matrix products, exact below 2^53.
+    equal count vectors merge exactly, each monomial keeping its first pair:
+    per row letter s, one sort per block of about 8192 pairs for all four t.
+
+    With `tp`, only pairs whose column letter is I wherever the row letter
+    is I take part, filtered before their keys are formed: the pairs of the
+    monomials free of T_01, T_02, T_03.
     """
     n, size, base = code.n, 1 << code.m, code.n + 1
     if base**16 > np.iinfo(np.int64).max:
         raise CapabilityError(f"the compiled coding map is limited to n <= 14, code has n = {n}")
-    letters, alpha, weight = {}, {}, {}
-    row_low, row_high, col_digits = {}, {}, {}
-    for sigma in SIGMAS:
-        x, z, alpha[sigma], weight[sigma] = code.coefficient_table(sigma)
-        x, z = x[:, None] >> np.arange(n) & 1, z[:, None] >> np.arange(n) & 1
-        letters[sigma] = (x ^ z) + 2 * z  # I, X, Y, Z = 0, 1, 2, 3
-        # a key is a count vector: digit 4 a + b (radix n+1) counts letter
-        # pairs (a, b).  Split at row letter Y, each half of the key is an
-        # integer below (n+1)^8, exact in float64
-        digits = (base ** (4 * letters[sigma] % 8)).astype(float)
-        row_low[sigma] = np.where(letters[sigma] < 2, digits, 0.0)
-        row_high[sigma] = np.where(letters[sigma] >= 2, digits, 0.0)
-        col_digits[sigma] = (base ** letters[sigma]).T.astype(float)
-    step = max(1, 8192 // size)  # rows per block of about 8192 pairs merged at once
+    tables = [code.coefficient_table(sigma) for sigma in SIGMAS]
+    # column c = t size + i holds row i of table t, letters I, X, Y, Z = 0, 1, 2, 3
+    x = np.concatenate([t.x for t in tables])[:, None] >> np.arange(n) & 1
+    z = np.concatenate([t.z for t in tables])[:, None] >> np.arange(n) & 1
+    columns = (x ^ z) + 2 * z
+    # A key counts letter pairs (a, b) in digit 4 a + b - 1 (radix n+1) and
+    # holds t in digit 15; the (I, I) count follows from the digit sum n.
+    # Digits 0-2 (a = I) and, over (n+1)^3, digits 3-15 are each below 2^49
+    # and so exact in float64 as sums over qubits of row times column factors.
+    col_low = np.ascontiguousarray(np.array([0.0, 1, base, base**2])[columns].T)
+    col_power = (base ** np.arange(4.0))[columns].T
+    col_high = np.vstack([col_power, np.repeat(np.arange(4.0) * base**12, size)])
+    col_support = np.concatenate([t.x | t.z for t in tables])
+    alpha = np.concatenate([t.alpha for t in tables])
+    step = max(1, 8192 // (4 * size))  # rows per block
     entries, factors, numerators = [], [], []
-    for (r, s), (c, t) in itertools.product(enumerate(SIGMAS), repeat=2):
-        live = np.flatnonzero(weight[s])
-        acc_keys = acc_pairs = acc_nums = np.empty(0, np.int64)
-        for rows in np.split(live, range(step, len(live), step)):
-            low = (row_low[s][rows] @ col_digits[t]).astype(np.int64)
-            high = (row_high[s][rows] @ col_digits[t]).astype(np.int64)
-            block_keys = (high * base**8 + low).ravel()
-            block_pairs = (size * rows[:, None] + np.arange(size)).ravel()
-            block_nums = np.outer(weight[s][rows], alpha[t]).ravel()
-            # merge equal keys; each keeps the pair of its first occurrence
-            keys = np.concatenate([acc_keys, block_keys])
-            order = np.argsort(keys)
-            keys = keys[order]
-            starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
-            acc_keys = keys[starts]
-            acc_pairs = np.concatenate([acc_pairs, block_pairs])[np.minimum.reduceat(order, starts)]
-            acc_nums = np.add.reduceat(np.concatenate([acc_nums, block_nums])[order], starts)
-        j, i = np.divmod(acc_pairs[acc_nums != 0], size)
-        factors.append(4 * letters[s][j] + letters[t][i])
-        numerators.append(acc_nums[acc_nums != 0])
-        entries.append(np.full(len(j), 4 * r + c))
+    for r, table in enumerate(tables):
+        row_letters = columns[r * size : (r + 1) * size]
+        row_low = (row_letters == 0).astype(float)
+        row_power = np.array([0.0, 1, base**4, base**8])[row_letters]
+        row_high = np.hstack([row_power, np.ones((size, 1))])
+        support, live, runs = table.x | table.z, np.flatnonzero(table.beta), []
+        for k in range(0, len(live), step):
+            rows = live[k : k + step]
+            low, high = row_low[rows] @ col_low, row_high[rows] @ col_high
+            nums = np.outer(table.beta[rows], alpha)
+            keep = (col_support & ~support[rows, None]) == 0 if tp else slice(None)
+            low, high, nums = low[keep].ravel(), high[keep].ravel(), nums[keep].ravel()
+            keys = high.astype(np.int64) * base**3 + low.astype(np.int64)
+            keys, first, nums = _reduce(keys, nums)
+            # pair 4 size k' + c: live row k', column c
+            runs.append((keys, 4 * size * k + (np.flatnonzero(keep)[first] if tp else first), nums))
+        keys, pairs, nums = map(np.concatenate, zip(*runs))
+        _, first, nums = _reduce(keys, nums, "stable")  # a stable sort merges sorted runs
+        j, c = np.divmod(pairs[first][nums != 0], 4 * size)
+        factors.append(4 * row_letters[live[j]] + columns[c])
+        numerators.append(nums[nums != 0])
+        entries.append(4 * r + c // size)
     factors = np.concatenate(factors).T.copy()
     return CompiledMap(code.m, np.concatenate(entries), factors, np.concatenate(numerators))
 
 
 @per_code
+def compiled_map(code: StabilizerCode) -> CompiledMap:
+    """Every monomial of the full 4x4 image, merged over all stabilizer pairs."""
+    return _merge(code, tp=False)
+
+
+@per_code
 def trace_preserving_map(code: StabilizerCode) -> CompiledMap:
-    """The monomials of `compiled_map`, in its order, that hold none of the
-    input entries T_01, T_02, T_03.  On an input whose row 0 is (1, 0, 0, 0)
-    every other monomial is a signed zero, so both forms sum to the same bits."""
-    compiled = compiled_map(code)
-    keep = ~((compiled.factors >= 1) & (compiled.factors <= 3)).any(axis=0)
-    factors = np.ascontiguousarray(compiled.factors[:, keep])
-    return CompiledMap(compiled.m, compiled.entry[keep], factors, compiled.numerators[keep])
+    """The monomials of `compiled_map`, in its order and with its bytes, that
+    hold none of the input entries T_01, T_02, T_03, merged from their own
+    stabilizer pairs.  On an input whose row 0 is (1, 0, 0, 0) every other
+    monomial is a signed zero, so both forms sum to the same bits."""
+    return _merge(code, tp=True)
 
 
 def general_map(code: StabilizerCode, channel: StokesChannel) -> StokesChannel:

@@ -58,22 +58,22 @@ class PauliString:
         except ValueError:
             raise ValueError(f"phase must be one of 1, 1j, -1, -1j, got {phase!r}") from None
         x, z = _word_masks(letters)
-        object.__setattr__(self, "n", len(letters))
-        object.__setattr__(self, "_x", x)
-        object.__setattr__(self, "_z", z)
+        _set_n(self, len(letters))
+        _set_x(self, x)
+        _set_z(self, z)
         # internal exponent k refers to the i^k * X^x Z^z normal form
-        object.__setattr__(self, "_k", (exponent + (x & z).bit_count()) % 4)
+        _set_k(self, (exponent + (x & z).bit_count()) % 4)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
+    def __setattr__(self, name, value):
         raise AttributeError("PauliString is immutable")
 
     @classmethod
     def _raw(cls, n: int, x: int, z: int, k: int) -> "PauliString":
         p = cls.__new__(cls)
-        object.__setattr__(p, "n", n)
-        object.__setattr__(p, "_x", x)
-        object.__setattr__(p, "_z", z)
-        object.__setattr__(p, "_k", k % 4)
+        _set_n(p, n)
+        _set_x(p, x)
+        _set_z(p, z)
+        _set_k(p, k % 4)
         return p
 
     @classmethod
@@ -197,6 +197,10 @@ class PauliString:
 
     def __hash__(self) -> int:
         return hash((self.n, self._x, self._z, self._k))
+
+
+# the slot descriptors' setters, which bypass the immutability guard
+_set_n, _set_x, _set_z, _set_k = (PauliString.__dict__[s].__set__ for s in PauliString.__slots__)
 
 
 def eta(a: PauliString, b: PauliString) -> int:

@@ -5,6 +5,29 @@ import pytest
 from concatcode import get_code
 
 
+def spec_text(code, perm=None, generators=None, recovery=None) -> str:
+    """Spec text of `code` with qubit q moved to position perm[q] and sign
+    prefixes kept.  `generators` and `recovery` replace the code's own
+    lines, in the order given; `recovery="auto"` writes `recovery auto`."""
+    perm = range(code.n) if perm is None else perm
+
+    def moved(p):
+        letters = ["I"] * code.n
+        for q, letter in enumerate(p.letters):
+            letters[perm[q]] = letter
+        return str(p)[: len(str(p)) - code.n] + "".join(letters)
+
+    generators = code.generators if generators is None else generators
+    recovery = code.recovery if recovery is None else recovery
+    lines = [f"n {code.n}"] + [f"generator {moved(g)}" for g in generators]
+    lines += [f"logicalX {moved(code.logical_x)}", f"logicalZ {moved(code.logical_z)}"]
+    if recovery == "auto":
+        lines.append("recovery auto")
+    else:
+        lines += [f"recovery {moved(r)}" for r in recovery]
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture(scope="session")
 def bitflip3():
     return get_code("bitflip3")

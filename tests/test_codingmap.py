@@ -27,7 +27,10 @@ import pytest
 
 from concatcode import (
     CConstants,
+    CapabilityError,
     DiagonalChannel,
+    PauliString,
+    StabilizerCode,
     StokesChannel,
     builtin_names,
     c_constants,
@@ -43,6 +46,7 @@ from concatcode import (
     random_pauli_channel,
 )
 from concatcode.codingmap import compiled_map, trace_preserving_map
+from conftest import spec_text
 
 F = Fraction
 
@@ -406,14 +410,30 @@ COMPILED_MAP_SHA256 = {
 }
 
 
+TRACE_PRESERVING_MAP_SHA256 = {
+    "bitflip3": "4536b5c9f0c7d1a219b937ce31a6078f0a5e120fbbaf7199a8aeaf620306a99a",
+    "five-qubit": "94c9f1bb8dc7f4e8c9ecf16ce72d61432669e1e085a779aaac82aee951b0c1d8",
+    "shor": "a5de3e92dc6964a8d8034e52cf111c35474c297d92af83b3f56e1cff1074d75f",
+    "steane": "f015e2c2fa793ab4af7903930aca58f689a5a33661a7208e7cd79dc821bf8d4b",
+}
+
+
+def digest(compiled) -> str:
+    sha = hashlib.sha256()
+    for array in (compiled.entry, compiled.factors, compiled.numerators):
+        sha.update(f"{array.dtype.str}{array.shape}".encode())
+        sha.update(np.ascontiguousarray(array).tobytes())
+    return sha.hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(COMPILED_MAP_SHA256))
 def test_compiled_map_bytes_pinned(name):
-    compiled = compiled_map(get_code(name))
-    digest = hashlib.sha256()
-    for array in (compiled.entry, compiled.factors, compiled.numerators):
-        digest.update(f"{array.dtype.str}{array.shape}".encode())
-        digest.update(np.ascontiguousarray(array).tobytes())
-    assert digest.hexdigest() == COMPILED_MAP_SHA256[name]
+    assert digest(compiled_map(get_code(name))) == COMPILED_MAP_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_PRESERVING_MAP_SHA256))
+def test_trace_preserving_map_bytes_pinned(name):
+    assert digest(trace_preserving_map(get_code(name))) == TRACE_PRESERVING_MAP_SHA256[name]
 
 
 @pytest.mark.parametrize("name", ["bitflip3", "five-qubit", "steane", "shor"])
@@ -481,6 +501,56 @@ def test_exact_diagonal_equals_diagonal_map(name):
     out = general_map_exact(code, entries)
     assert [out[i][j] for i in range(4) for j in range(4) if i != j] == [0] * 12
     assert [out[i][i] for i in range(4)] == [1, *(poly.evaluate(s, x, y, z) for s in "XYZ")]
+
+
+def masked_full_form(code):
+    """The monomials of `compiled_map` free of T_01, T_02, T_03, in its order."""
+    full = compiled_map(code)
+    keep = ~np.isin(full.factors, (1, 2, 3)).any(axis=0)
+    return full.entry[keep], np.ascontiguousarray(full.factors[:, keep]), full.numerators[keep]
+
+
+@pytest.mark.parametrize("name", ["bitflip3", "five-qubit", "steane", "shor"])
+def test_trace_preserving_map_is_the_masked_full_form_on_permuted_specs(name):
+    builtin = get_code(name)
+    rng = np.random.default_rng(41)
+    for _ in range(3):
+        gens = [builtin.generators[i] for i in rng.permutation(builtin.m)]
+        recs = [builtin.recovery[i] for i in rng.permutation(len(builtin.recovery))]
+        code = parse_code_spec(spec_text(builtin, rng.permutation(builtin.n), gens, recs))
+        tp = trace_preserving_map(code)
+        for got, want in zip((tp.entry, tp.factors, tp.numerators), masked_full_form(code)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def has_full_form(code) -> bool:
+    return any(key[0] is compiled_map.__wrapped__ for key in code._memo)
+
+
+def test_trace_preserving_input_does_not_build_the_full_form(five_qubit):
+    code = parse_code_spec(spec_text(five_qubit))
+    rng = np.random.default_rng(3)
+    general_map(code, random_cptp(rng))
+    assert not has_full_form(code)
+    matrix = random_cptp(rng).matrix.copy()
+    matrix[0, 1] = 0.01
+    general_map(code, StokesChannel(matrix))
+    assert has_full_form(code)
+
+
+def test_compiled_forms_refuse_fifteen_qubits():
+    n = 15
+    gens = [PauliString.single(n, i, "Z") * PauliString.single(n, i + 1, "Z") for i in range(n - 1)]
+    code = StabilizerCode(n, gens, PauliString.parse("X" * n), PauliString.single(n, 0, "Z"), [])
+    non_tp = np.eye(4)
+    non_tp[0, 1] = 0.5
+    calls = [compiled_map, trace_preserving_map]
+    calls += [lambda c, m=m: general_map(c, StokesChannel(m)) for m in (np.eye(4), non_tp)]
+    for call in calls:
+        with pytest.raises(CapabilityError, match="limited to n <= 14"):
+            call(code)
+    assert not code._memo  # refused before any table was derived
 
 
 def test_per_code_data_is_freed_with_the_code():

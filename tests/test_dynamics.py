@@ -33,6 +33,7 @@ from concatcode import (
     random_cptp,
     threshold,
 )
+from conftest import spec_text
 
 SQRT_2_3 = math.sqrt(2.0 / 3.0)
 
@@ -489,22 +490,6 @@ def test_steane_bound_reported(steane):
     assert bound.c_m_source == "grid"
     assert 0.0 < bound.value < 0.014
     assert bound.bounds_guaranteed
-
-
-def spec_text(code, perm) -> str:
-    """Spec text of `code` with qubit q moved to position perm[q]."""
-
-    def moved(p):
-        letters = ["I"] * code.n
-        for q, letter in enumerate(p.letters):
-            letters[perm[q]] = letter
-        return "".join(letters)
-
-    lines = [f"n {code.n}"]
-    lines += [f"generator {moved(g)}" for g in code.generators]
-    lines += [f"logicalX {moved(code.logical_x)}", f"logicalZ {moved(code.logical_z)}"]
-    lines += [f"recovery {moved(r)}" for r in code.recovery]
-    return "\n".join(lines) + "\n"
 
 
 def test_closed_form_c_m_for_a_renamed_permuted_five_qubit_code(five_qubit):

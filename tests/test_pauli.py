@@ -85,6 +85,16 @@ def test_constructors():
         PauliString("XY", phase=0.5)
 
 
+@pytest.mark.parametrize("name", ["n", "_x", "_z", "_k"])
+def test_strings_are_immutable(name):
+    # strings from the constructor, the parser and the product (`_raw`)
+    for p in (PauliString("XYZ", phase=-1), P("-iXYZ"), P("XII") * P("IYZ")):
+        before = (p.n, p.x_mask, p.z_mask, str(p))
+        with pytest.raises(AttributeError):
+            setattr(p, name, 1)
+        assert (p.n, p.x_mask, p.z_mask, str(p)) == before
+
+
 def test_neg_and_times_i():
     assert -P("X") == P("-X")
     assert P("X").times_i() == P("iX")

@@ -23,6 +23,7 @@ from concatcode import (
 )
 from concatcode.pauli import eta
 from concatcode.stabilizer import CodeSpecError
+from conftest import spec_text
 
 P = PauliString.parse
 
@@ -289,31 +290,14 @@ def _f_by_eta(code) -> np.ndarray:
     return np.array(rows)
 
 
-def _permuted_spec(code, perm, reverse_lines: bool) -> str:
-    """Spec text of `code` with qubit q moved to position perm[q]; with
-    `reverse_lines` the generator and recovery lines come in reverse order,
-    which reorders the stabilizer group."""
-
-    def moved(p):
-        letters = ["I"] * code.n
-        for q, letter in enumerate(p.letters):
-            letters[perm[q]] = letter
-        return str(p)[: len(str(p)) - code.n] + "".join(letters)
-
-    order = slice(None, None, -1 if reverse_lines else 1)
-    lines = [f"n {code.n}"]
-    lines += [f"generator {moved(g)}" for g in code.generators[order]]
-    lines += [f"logicalX {moved(code.logical_x)}", f"logicalZ {moved(code.logical_z)}"]
-    lines += [f"recovery {moved(r)}" for r in code.recovery[order]]
-    return "\n".join(lines) + "\n"
-
-
 def _variants(code):
     """The code itself and two permuted spec texts of it."""
     n = code.n
     yield code
-    yield parse_code_spec(_permuted_spec(code, list(range(n))[::-1], reverse_lines=True))
-    yield parse_code_spec(_permuted_spec(code, [(q + 2) % n for q in range(n)], reverse_lines=False))
+    # generator and recovery lines in reverse order reorder the stabilizer group
+    reverse = slice(None, None, -1)
+    yield parse_code_spec(spec_text(code, range(n)[reverse], code.generators[reverse], code.recovery[reverse]))
+    yield parse_code_spec(spec_text(code, [(q + 2) % n for q in range(n)]))
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_PARAMETERS))
@@ -411,20 +395,6 @@ def _table_by_products(code, sigma) -> list[tuple[int, int, int, int]]:
     return rows
 
 
-def _spec(code, generators, perm) -> str:
-    """Spec text with these generators, qubit q moved to perm[q], recovery auto."""
-
-    def moved(p):
-        letters = ["I"] * code.n
-        for q, letter in enumerate(p.letters):
-            letters[perm[q]] = letter
-        return str(p)[: len(str(p)) - code.n] + "".join(letters)
-
-    lines = [f"n {code.n}"] + [f"generator {moved(g)}" for g in generators]
-    lines += [f"logicalX {moved(code.logical_x)}", f"logicalZ {moved(code.logical_z)}"]
-    return "\n".join(lines + ["recovery auto"]) + "\n"
-
-
 def _array_variants():
     """Every built-in, three seeded qubit-permuted and generator-shuffled
     specs of each, one with generator 1 replaced by its product with
@@ -433,15 +403,16 @@ def _array_variants():
     for name in builtin_names():
         code = get_code(name)
         yield name, code
-        identity = list(range(code.n))
         for k in range(3):
             gens = [code.generators[i] for i in rng.permutation(code.m)]
-            yield f"{name}-shuffled{k}", parse_code_spec(_spec(code, gens, rng.permutation(code.n)))
+            text = spec_text(code, rng.permutation(code.n), gens, "auto")
+            yield f"{name}-shuffled{k}", parse_code_spec(text)
         gens = list(code.generators)
         gens[1] = gens[0] * gens[1]
-        yield f"{name}-product", parse_code_spec(_spec(code, gens, identity))
+        yield f"{name}-product", parse_code_spec(spec_text(code, None, gens, "auto"))
     bitflip3 = get_code("bitflip3")
-    yield "bitflip3-signed", parse_code_spec(_spec(bitflip3, [P("ZZI"), P("-IZZ")], [0, 1, 2]))
+    text = spec_text(bitflip3, None, [P("ZZI"), P("-IZZ")], "auto")
+    yield "bitflip3-signed", parse_code_spec(text)
 
 
 @pytest.mark.parametrize("label, code", list(_array_variants()), ids=lambda v: str(v)[:20])
