@@ -13,7 +13,6 @@ from .channel import (
     StokesChannel,
     depolarizing,
     dephasing,
-    diamond_distance_estimate,
     from_pauli_probs,
     is_valid_channel,
     max_entry_distance,
@@ -56,7 +55,6 @@ from .pauli import PauliDimensionError, PauliString, eta
 from .stabilizer import (
     CapabilityError,
     CodeSpecError,
-    FMatrix,
     InvalidCodeError,
     StabilizerCode,
     ValidationReport,
@@ -75,7 +73,6 @@ __all__ = [
     "CodeSpecError",
     "DiagonalChannel",
     "DiagonalMapPolynomial",
-    "FMatrix",
     "FixedPointScan",
     "GeneralBound",
     "InvalidCodeError",
@@ -96,7 +93,6 @@ __all__ = [
     "dephasing",
     "depolarizing",
     "diagonal_map",
-    "diamond_distance_estimate",
     "error_series",
     "eta",
     "extract_stokes",

@@ -190,39 +190,6 @@ def random_pauli_channel(rng: np.random.Generator) -> DiagonalChannel:
     return from_pauli_probs(p_x, p_y, p_z)
 
 
-# -- diamond-norm lower-bound estimator ----------------------------------------
-
-
-def diamond_distance_estimate(channel, seed: int = 0, restarts: int = 200) -> float:
-    """Seeded lower-bound estimate of ||T - Id||_diamond.
-
-    Maximizes the trace norm of ((T - Id) (x) Id) over pure two-qubit
-    states with `restarts` random starts plus local ascent; deterministic
-    for a fixed seed.  The ascent alternates the exact sign-operator step
-    with the leading eigenvector of the back-propagated witness; both steps
-    are monotone, so the result is a lower bound, never an upper bound.
-    """
-    t = as_stokes(channel)
-    delta = t.matrix - np.eye(4)
-    m_fwd, m_adj = linalg.map_tensor(delta), linalg.map_tensor(delta.T)
-    best = 0.0
-    for r in range(restarts):
-        psi = linalg.random_pure_state(np.random.default_rng([seed, r]), 4)
-        run = 0.0
-        for _ in range(60):
-            rho = np.outer(psi, psi.conj())
-            vals, vecs = np.linalg.eigh(linalg.apply_map_on_qubit(rho, m_fwd, 0, 2))
-            value = float(np.sum(np.abs(vals)))
-            witness = (vecs * np.sign(vals)) @ vecs.conj().T
-            psi = np.linalg.eigh(linalg.apply_map_on_qubit(witness, m_adj, 0, 2))[1][:, -1]
-            if value <= run + 1e-13:
-                run = max(run, value)
-                break
-            run = value
-        best = max(best, run)
-    return best
-
-
 # -- channel literals ----------------------------------------------------------
 
 

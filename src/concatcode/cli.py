@@ -21,6 +21,7 @@ import numpy as np
 from .channel import (
     DiagonalChannel,
     StokesChannel,
+    as_stokes,
     parse_channel_literal,
 )
 from .codingmap import diagonal_map
@@ -234,16 +235,18 @@ def _cmd_threshold(args) -> int:
 def _cmd_jacobian(args) -> int:
     code = _resolve_code(args.code)
     channel = parse_channel_literal(args.at)
-    if args.full:
-        matrix = jacobian_fd_full(
-            code,
-            channel if isinstance(channel, StokesChannel) else channel.to_stokes(),
-            h=args.h,
-        )
-    else:
-        if not isinstance(channel, DiagonalChannel):
-            raise ValueError("the 3x3 Jacobian needs a diagonal channel; use --full")
-        matrix = jacobian_fd(code, channel, h=args.h)
+    if not (args.full or isinstance(channel, DiagonalChannel)):
+        raise ValueError("the 3x3 Jacobian needs a diagonal channel; use --full")
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.full:
+                matrix = jacobian_fd_full(code, as_stokes(channel), h=args.h)
+            else:
+                matrix = jacobian_fd(code, channel, h=args.h)
+    except OverflowError:
+        matrix = None
+    if matrix is None or not np.isfinite(matrix).all():
+        raise ValueError(f"the Jacobian at {args.at} with step {args.h} leaves the float range")
     payload = {
         "code": code.name or args.code,
         "at": args.at,
@@ -309,7 +312,7 @@ def _checked(kind, valid: str, test):
 
 _LEVELS = _checked(int, "at least 0", lambda v: v >= 0)
 _AT_LEAST_ONE = _checked(int, "at least 1", lambda v: v >= 1)
-_TOLERANCE = _checked(float, "positive and finite", lambda v: 0 < v < math.inf)
+_POSITIVE = _checked(float, "positive and finite", lambda v: 0 < v < math.inf)
 _STOP_TOL = _checked(float, "finite and at least 0", lambda v: 0 <= v < math.inf)
 
 
@@ -349,15 +352,15 @@ def _build_parser(default_seed: int) -> argparse.ArgumentParser:
     p = sub.add_parser("threshold", help="largest converging noise strength along a ray")
     p.add_argument("code")
     p.add_argument("--ray", required=True, help="depol, deph or ray:<dx>,<dy>,<dz>")
-    p.add_argument("--tol", type=_TOLERANCE, default=1e-6)
-    p.add_argument("--tol-conv", dest="tol_conv", type=_TOLERANCE, default=1e-9)
+    p.add_argument("--tol", type=_POSITIVE, default=1e-6)
+    p.add_argument("--tol-conv", dest="tol_conv", type=_POSITIVE, default=1e-9)
     p.add_argument("--k-max", dest="k_max", type=_AT_LEAST_ONE, default=60)
     add_common(p)
 
     p = sub.add_parser("jacobian", help="finite-difference Jacobian at a channel")
     p.add_argument("code")
     p.add_argument("--at", default="diag:1,1,1", help="channel literal")
-    p.add_argument("--h", type=float, default=1e-5)
+    p.add_argument("--h", type=_POSITIVE, default=1e-5)
     p.add_argument("--full", action="store_true", help="16x16 Jacobian on Stokes space")
     add_common(p)
 

@@ -89,10 +89,6 @@ class DiagonalMapPolynomial:
         exec(f"def evaluator(x, y, z):\n    return ({', '.join(sums)})", namespace)
         return namespace["evaluator"]
 
-    def evaluate(self, sigma: str, x, y, z):
-        """Evaluate one component; exact when the inputs are Fractions."""
-        return sum(m.coeff * x**m.a * y**m.b * z**m.c for m in self.components[sigma])
-
     def apply(self, t: DiagonalChannel) -> DiagonalChannel:
         """Image of a diagonal channel, in floating point.
 
@@ -325,7 +321,7 @@ def c_constants(code: StabilizerCode, seed: int = 0) -> CConstants:
     of the three axes plus 20 seeded random directions scaled to max 1.
     """
     # 2^m sum_i |beta_i| = sum_i |f_i|, as beta = f alpha / 2^m with alpha = +-1
-    c_n = Fraction(int(np.abs(code.f_matrix().values).sum(axis=0).max()))
+    c_n = Fraction(int(np.abs(code.f_matrix()).sum(axis=0).max()))
 
     terms = diagonal_map(code).float_terms
     coeffs = [np.array([c for c, *_ in component]) for component in terms]

@@ -64,16 +64,3 @@ def stokes_from_kraus(kraus) -> np.ndarray:
         for s in range(4):
             out[s, t] = np.trace(PAULI_MATS[s] @ image).real
     return out
-
-
-def apply_map_on_qubit(rho: np.ndarray, m: np.ndarray, qubit: int, nq: int) -> np.ndarray:
-    """Apply a process tensor M[a,b,c,d] to one qubit of an nq-qubit operator."""
-    t = rho.reshape((2,) * (2 * nq))
-    t = np.tensordot(m, t, axes=([2, 3], [qubit, nq + qubit]))
-    t = np.moveaxis(t, (0, 1), (qubit, nq + qubit))
-    return t.reshape(rho.shape)
-
-
-def random_pure_state(rng: np.random.Generator, dim: int) -> np.ndarray:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)

@@ -126,15 +126,6 @@ def build_logical_basis(code: StabilizerCode) -> LogicalBasis:
     return LogicalBasis(*_dense_parts(code).encoder.T)
 
 
-@per_code
-def syndrome_projectors(code: StabilizerCode) -> tuple[np.ndarray, ...]:
-    """Dense projectors onto the syndrome subspaces, indexed by syndrome;
-    built on first call only, the simulation never forms them."""
-    generators = _dense_generators(code)
-    eye = np.eye(1 << code.n, dtype=complex)
-    return tuple(_project(generators, eye, j) for j in range(1 << code.m))
-
-
 def simulate(code: StabilizerCode, channel, rho0: np.ndarray) -> np.ndarray:
     """Push a 2x2 operator, hermitian or not, through encode / noise / recover /
     decode: the level is linear, so this is `extract_stokes` applied to rho0."""

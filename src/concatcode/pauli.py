@@ -3,8 +3,8 @@
 Strings are kept in symplectic form, one x-bit and one z-bit per qubit,
 next to a global power of i.  The letter Y is i*X*Z at the phase-tracking
 level, which fixes every product sign uniquely.  Products, commutation
-signs, weights and hermiticity are exact integer operations; floating
-point never enters the group algebra.
+signs and hermiticity are exact integer operations; floating point never
+enters the group algebra.
 
 Letters are plain one-character strings "I", "X", "Y", "Z"; phases are the
 exact units 1, 1j, -1, -1j.
@@ -154,32 +154,6 @@ class PauliString:
     def strip_phase(self) -> "PauliString":
         """The same letters with phase reset to +1."""
         return PauliString._raw(self.n, self._x, self._z, (self._x & self._z).bit_count())
-
-    def weight(self, letter: str) -> int:
-        """Number of positions carrying `letter` (I is permitted)."""
-        if letter == "X":
-            mask = self._x & ~self._z
-        elif letter == "Y":
-            mask = self._x & self._z
-        elif letter == "Z":
-            mask = self._z & ~self._x
-        elif letter == "I":
-            mask = ~(self._x | self._z) & ((1 << self.n) - 1)
-        else:
-            raise ValueError(f"unknown letter {letter!r}")
-        return mask.bit_count()
-
-    def weights(self) -> tuple[int, int, int]:
-        """(X count, Y count, Z count)."""
-        return (
-            (self._x & ~self._z).bit_count(),
-            (self._x & self._z).bit_count(),
-            (self._z & ~self._x).bit_count(),
-        )
-
-    def pauli_weight(self) -> int:
-        """Number of non-identity positions."""
-        return (self._x | self._z).bit_count()
 
     @property
     def is_hermitian(self) -> bool:

@@ -52,17 +52,6 @@ class ValidationReport:
     violations: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class FMatrix:
-    """Signed sums f[i][sigma] = sum_j eta(R_j, S_i) * eta(R_j, logical sigma).
-
-    Rows follow the stabilizer group order (generator subset bitmask),
-    columns the letter order I, X, Y, Z.  Entries are exact integers.
-    """
-
-    values: np.ndarray
-
-
 class CoefficientTable(NamedTuple):
     """Per group index i, the phase-stripped product |S_i sigma_bar| as x and
     z masks, its hermitian sign alpha and the numerator of the decoding
@@ -98,9 +87,12 @@ def mask_arrays(paulis: Sequence[PauliString]) -> np.ndarray:
     return np.array([(p.x_mask, p.z_mask) for p in paulis], dtype=np.int64).reshape(-1, 2).T
 
 
-def syndrome_of(generators: Sequence[PauliString], p: PauliString) -> int:
-    """Bit i of the result is set iff p anticommutes with generator i."""
-    return sum(1 << i for i, g in enumerate(generators) if eta(p, g) == -1)
+def syndromes(generators: Sequence[PauliString], x, z) -> np.ndarray:
+    """Syndromes of the strings with int64 x and z masks (broadcast): bit i
+    is set iff the string anticommutes with generator i."""
+    gx, gz = mask_arrays(generators)
+    anti = np.bitwise_count(np.asarray(x)[..., None] & gz ^ np.asarray(z)[..., None] & gx) & 1
+    return anti @ (1 << np.arange(len(generators)))
 
 
 class StabilizerCode:
@@ -226,19 +218,14 @@ class StabilizerCode:
         x, z, k = (array.tolist() for array in self.group_arrays())
         return tuple(PauliString._raw(self.n, *elem) for elem in zip(x, z, k))
 
-    def syndrome(self, p: PauliString) -> int:
-        """Bit i of the result is set iff p anticommutes with generator i."""
-        return syndrome_of(self.generators, p)
-
     @per_code
     def recovery_syndromes(self) -> np.ndarray:
         """Syndrome of each recovery operator, in recovery order."""
-        if self.n > 63:  # masks overflow int64; a valid code needs 2^63 recoveries here
-            return np.array([self.syndrome(r) for r in self.recovery], dtype=np.int64)
-        rx, rz = mask_arrays(self.recovery)[:, :, None]
-        gx, gz = mask_arrays(self.generators)[:, None, :]
-        anti = np.bitwise_count(rx & gz ^ rz & gx) & 1  # (recovery, generator)
-        return anti @ (1 << np.arange(self.m))
+        if self.n > MASK_MAX_QUBITS:  # masks overflow int64; a valid code needs 2^63 recoveries
+            gens = list(enumerate(self.generators))
+            bits = [sum(1 << i for i, g in gens if eta(r, g) == -1) for r in self.recovery]
+            return np.array(bits, dtype=np.int64)
+        return syndromes(self.generators, *mask_arrays(self.recovery))
 
     @per_code
     def recovery_by_syndrome(self) -> tuple[PauliString, ...]:
@@ -267,8 +254,9 @@ class StabilizerCode:
     # -- coefficient data --------------------------------------------------
 
     @per_code
-    def f_matrix(self) -> FMatrix:
-        """Exact integer table f[i][sigma] over group index i and letter sigma.
+    def f_matrix(self) -> np.ndarray:
+        """Signed sums f[i][sigma] = sum_j eta(R_j, S_i) * eta(R_j, logical sigma)
+        as a read-only int64 array: rows in group order, columns I, X, Y, Z.
 
         Group index i is a subset of generators and recovery index j a
         syndrome, so eta(R_j, S_i) = (-1)^|i & j|: each column of f is the
@@ -281,7 +269,7 @@ class StabilizerCode:
             split = values.reshape(-1, 2, 1 << k, 4)  # bit k of j on axis 1
             values = np.stack([split[:, 0] + split[:, 1], split[:, 0] - split[:, 1]], 1).reshape(-1, 4)
         values.setflags(write=False)
-        return FMatrix(values)
+        return values
 
     @per_code
     def coefficient_table(self, sigma: str) -> CoefficientTable:
@@ -300,7 +288,7 @@ class StabilizerCode:
             prod = PauliString._raw(self.n, int(x[i]), int(z[i]), int(k[i]))
             raise InvalidCodeError(f"product {prod} is not hermitian")
         alpha = 1 - exponent  # p = 0 or 2
-        beta = alpha * self.f_matrix().values[:, SIGMAS.index(sigma)]
+        beta = alpha * self.f_matrix()[:, SIGMAS.index(sigma)]
         for array in (x, z, alpha, beta):
             array.setflags(write=False)
         return CoefficientTable(x, z, alpha, beta)
@@ -325,8 +313,7 @@ class StabilizerCode:
         pop = np.bitwise_count(strings)
         # syndromes of the pure X strings and of the pure Z strings; x + z
         # commutes with every generator iff its two parts have equal syndromes
-        anti = np.bitwise_count(strings[:, None] & mask_arrays(self.generators)[::-1, None]) & 1
-        syn_x, syn_z = anti @ (1 << np.arange(self.m))
+        syn_x, syn_z = syndromes(self.generators, strings, 0), syndromes(self.generators, 0, strings)
         member = np.zeros((size, size), dtype=bool)  # [z, x]
         x, z, _ = self.group_arrays()
         member[z, x] = True
@@ -353,25 +340,23 @@ def auto_recovery(generators: Sequence[PauliString], n: int | None = None) -> li
         if not gens:
             raise ValueError("qubit count required when there are no generators")
         n = gens[0].n
-    m = len(gens)
-    target = 1 << m
     found: dict[int, PauliString] = {}
+    bits = 1 << np.arange(n)
     for weight in range(n + 1):
-        candidates: list[tuple[tuple[int, ...], PauliString]] = []
-        for positions in itertools.combinations(range(n), weight):
-            for letters in itertools.product("XYZ", repeat=weight):
-                word = ["I"] * n
-                for q, c in zip(positions, letters):
-                    word[q] = c
-                p = PauliString("".join(word))
-                candidates.append((tuple(SIGMAS.index(c) for c in word), p))
-        candidates.sort(key=lambda item: item[0])
-        for _, p in candidates:
-            s = syndrome_of(gens, p)
+        # every word of this weight, letters I, X, Y, Z = 0, 1, 2, 3, in word order
+        positions = np.array(list(itertools.combinations(range(n), weight)), dtype=np.intp)
+        letters = np.array(list(itertools.product((1, 2, 3), repeat=weight)), dtype=np.int8)
+        words = np.zeros((len(positions), len(letters), n), dtype=np.int8)
+        np.put_along_axis(words, positions[:, None], letters, axis=2)
+        words = words.reshape(-1, n)
+        words = words[np.lexsort(words.T[::-1])]  # qubit 0 is the primary key
+        x, z = ((words == 1) | (words == 2)) @ bits, (words >= 2) @ bits
+        values, first = np.unique(syndromes(gens, x, z), return_index=True)
+        for s, i in zip(values.tolist(), first.tolist()):
             if s not in found:
-                found[s] = p
-                if len(found) == target:
-                    return [found[s] for s in range(target)]
+                found[s] = PauliString._raw(n, int(x[i]), int(z[i]), int(x[i] & z[i]).bit_count())
+        if len(found) == 1 << len(gens):
+            return [found[s] for s in range(len(found))]
     raise InvalidCodeError("some syndromes are unreachable; generators are degenerate")
 
 

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from concatcode import get_code
+from concatcode.pauli import eta
 
 
 def spec_text(code, perm=None, generators=None, recovery=None) -> str:
@@ -26,6 +27,12 @@ def spec_text(code, perm=None, generators=None, recovery=None) -> str:
     else:
         lines += [f"recovery {moved(r)}" for r in recovery]
     return "\n".join(lines) + "\n"
+
+
+def syndrome(generators, p) -> int:
+    """Bit i is set iff p anticommutes with generator i, one `eta` call per
+    generator: the reference for the mask-based `stabilizer.syndromes`."""
+    return sum(1 << i for i, g in enumerate(generators) if eta(p, g) == -1)
 
 
 @pytest.fixture(scope="session")

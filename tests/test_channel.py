@@ -1,4 +1,4 @@
-"""Stokes channels: named families, validity, distances and estimators."""
+"""Stokes channels: named families, validity, distances and literals."""
 
 import math
 
@@ -12,7 +12,6 @@ from concatcode import (
     StokesChannel,
     dephasing,
     depolarizing,
-    diamond_distance_estimate,
     from_pauli_probs,
     is_valid_channel,
     max_entry_distance,
@@ -139,48 +138,6 @@ def test_apply_matches_matrix_action():
             t.matrix[s, u] * np.trace(PAULI_MATS[u] @ rho).real for u in range(4)
         )
         assert coeff == pytest.approx(expected, abs=1e-12)
-
-
-# -- diamond estimator ------------------------------------------------------------
-
-
-def test_estimate_identity_zero():
-    assert diamond_distance_estimate(StokesChannel.identity(), seed=0, restarts=10) <= 1e-9
-
-
-def test_estimate_depolarizing_value():
-    for eps in (0.1, 0.3):
-        est = diamond_distance_estimate(depolarizing(eps), seed=0, restarts=60)
-        assert est == pytest.approx(1.5 * eps, abs=1e-6)
-        assert est >= eps - 1e-6  # entrywise lower bound from the sandwich
-
-
-@pytest.mark.parametrize("probs", [(0.1, 0.0, 0.0), (0.05, 0.02, 0.1), (0.2, 0.1, 0.3)])
-def test_estimate_is_exact_on_pauli_channels(probs):
-    # for a Pauli channel, ||T - Id||_diamond = 2 (1 - p_I) = 2 (p_X + p_Y + p_Z)
-    est = diamond_distance_estimate(from_pauli_probs(*probs), seed=0, restarts=20)
-    assert est == pytest.approx(2.0 * sum(probs), abs=1e-12)
-
-
-def test_estimate_full_dephasing():
-    est = diamond_distance_estimate(dephasing(1.0), seed=0, restarts=60)
-    assert 1.0 - 1e-9 <= est <= 2.0 + 1e-9
-
-
-def test_estimate_deterministic():
-    rng = np.random.default_rng(1)
-    t = random_cptp(rng)
-    a = diamond_distance_estimate(t, seed=3, restarts=25)
-    b = diamond_distance_estimate(t, seed=3, restarts=25)
-    assert a == b
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_sandwich_entry_below_estimate(seed):
-    rng = np.random.default_rng(seed)
-    t = random_cptp(rng)
-    est = diamond_distance_estimate(t, seed=0, restarts=60)
-    assert max_entry_distance(t) <= est + 1e-6
 
 
 # -- literals ----------------------------------------------------------------------

@@ -260,6 +260,10 @@ def test_output_file(tmp_path, capsys):
         ["map", "five-qubit", "--channel", "depol:0.1", "--tol", "inf"],
         ["map", "five-qubit", "--channel", "depol:0.1", "--tol", "nan"],
         ["map", "five-qubit", "--channel", "depol:0.1", "--tol=-1e-300"],
+        ["jacobian", "five-qubit", "--h", "0"],
+        ["jacobian", "five-qubit", "--h=-1e-5"],
+        ["jacobian", "five-qubit", "--h", "nan"],
+        ["jacobian", "five-qubit", "--full", "--h", "inf"],
     ],
 )
 def test_bad_counts_and_tolerances_rejected_at_parse_time(capsys, argv):
@@ -298,6 +302,22 @@ def test_non_finite_inputs_rejected_before_any_work(capsys, monkeypatch, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jacobian", "five-qubit", "--at", "diag:1e200,1,1"],
+        ["jacobian", "five-qubit", "--h", "1e300"],
+        ["jacobian", "five-qubit", "--full", "--h", "1e300"],
+    ],
+)
+def test_jacobian_leaving_the_float_range_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: the Jacobian at ")
     assert err.count("\n") == 1
 
 

@@ -26,8 +26,8 @@ from concatcode import (
     random_cptp,
     simulate,
 )
-from concatcode.linalg import PAULI_MATS, apply_map_on_qubit, pauli_dense
-from concatcode.oracle import _dense_parts, syndrome_projectors
+from concatcode.linalg import PAULI_MATS, pauli_dense
+from concatcode.oracle import _dense_generators, _dense_parts, _project
 from concatcode.pauli import eta
 from concatcode.stabilizer import parse_code_spec
 
@@ -78,6 +78,21 @@ def _reference_simulate(code, channel, rhos):
 def _reference_stokes(code, channel):
     images = _reference_simulate(code, channel, PAULI_MATS / 2.0)
     return np.einsum("sab,tba->st", PAULI_MATS, images)
+
+
+def apply_map_on_qubit(rho: np.ndarray, m: np.ndarray, qubit: int, nq: int) -> np.ndarray:
+    """Apply a process tensor M[a,b,c,d] to one qubit of an nq-qubit operator."""
+    t = rho.reshape((2,) * (2 * nq))
+    t = np.tensordot(m, t, axes=([2, 3], [qubit, nq + qubit]))
+    t = np.moveaxis(t, (0, 1), (qubit, nq + qubit))
+    return t.reshape(rho.shape)
+
+
+def syndrome_projectors(code) -> list[np.ndarray]:
+    """Dense projectors onto the syndrome subspaces, indexed by syndrome."""
+    generators = _dense_generators(code)
+    eye = np.eye(1 << code.n, dtype=complex)
+    return [_project(generators, eye, j) for j in range(1 << code.m)]
 
 
 def test_bitflip3_codewords(bitflip3):

@@ -42,12 +42,13 @@ def test_eta_examples():
 
 
 def test_weights():
-    assert P("YYX").weight("Y") == 2
-    assert P("ZZZZZZZZZ").weight("Z") == 9
-    assert P("XZZXI").weight("X") == 2
-    assert P("XZZXI").weight("I") == 1
-    assert P("XYZII").weights() == (1, 1, 1)
-    assert P("XYZII").pauli_weight() == 3
+    # letter counts and weight read from the masks, as `diagonal_map` reads them
+    for word in ("YYX", "ZZZZZZZZZ", "XZZXI", "XYZII", "-iIYI"):
+        p, letters = P(word), word.lstrip("+-i")
+        x, z = p.x_mask, p.z_mask
+        counts = ((x & ~z).bit_count(), (x & z).bit_count(), (z & ~x).bit_count())
+        assert counts == tuple(letters.count(c) for c in "XYZ")
+        assert (x | z).bit_count() == len(letters) - letters.count("I")
 
 
 def test_strip_phase():

@@ -22,8 +22,8 @@ from concatcode import (
     parse_code_spec,
 )
 from concatcode.pauli import eta
-from concatcode.stabilizer import CodeSpecError
-from conftest import spec_text
+from concatcode.stabilizer import CodeSpecError, syndromes
+from conftest import spec_text, syndrome
 
 P = PauliString.parse
 
@@ -207,7 +207,7 @@ def test_larger_groups_are_hermitian_but_may_carry_signs():
     assert len(group) == 256
     assert all(s.is_hermitian for s in group)
     assert any(s.phase == -1 for s in group)
-    identity_like = [s for s in group if s.pauli_weight() == 0]
+    identity_like = [s for s in group if (s.x_mask | s.z_mask).bit_count() == 0]
     assert identity_like == [PauliString.identity(9)]
 
 
@@ -215,17 +215,21 @@ def test_larger_groups_are_hermitian_but_may_carry_signs():
 
 
 def test_syndrome_examples(bitflip3):
-    assert bitflip3.syndrome(P("XII")) == 0b01
-    assert bitflip3.syndrome(P("III")) == 0b00
-    assert bitflip3.syndrome(P("IXI")) == 0b11
+    gens = bitflip3.generators
+    for word, expected in (("XII", 0b01), ("III", 0b00), ("IXI", 0b11), ("-YYZ", 0b10)):
+        p = P(word)
+        assert syndrome(gens, p) == expected
+        assert syndromes(gens, p.x_mask, p.z_mask) == expected
+    x, z = np.array([[1, 2], [4, 0]]), np.array([[4, 0], [0, 0]])  # XIZ, IXI; IIX, III
+    assert syndromes(gens, x, z).tolist() == [[0b01, 0b11], [0b10, 0]]
 
 
 def test_recovery_syndromes_bijective():
     for name in builtin_names():
         code = get_code(name)
-        syndromes = [code.syndrome(r) for r in code.recovery]
-        assert code.recovery_syndromes().tolist() == syndromes
-        assert set(syndromes) == set(range(1 << code.m))
+        expected = [syndrome(code.generators, r) for r in code.recovery]
+        assert code.recovery_syndromes().tolist() == expected
+        assert set(expected) == set(range(1 << code.m))
 
 
 def test_code_too_wide_for_int64_masks_still_validates():
@@ -244,7 +248,7 @@ def test_code_too_wide_for_int64_masks_still_validates():
 
 
 def test_f_values_bitflip3(bitflip3):
-    f = bitflip3.f_matrix().values  # columns I, X, Y, Z
+    f = bitflip3.f_matrix()  # columns I, X, Y, Z
     assert f[0, 1] == 4
     assert f[0, 3] == -2
     assert f[0, 0] == 4  # 2^m on the identity stabilizer
@@ -255,7 +259,7 @@ def test_f_identity_column():
     # sum_j eta(R_j, S_i) telescopes: 2^m on the identity, 0 elsewhere
     for name in builtin_names():
         code = get_code(name)
-        column = code.f_matrix().values[:, 0].tolist()
+        column = code.f_matrix()[:, 0].tolist()
         assert column[0] == 1 << code.m
         assert all(v == 0 for v in column[1:])
 
@@ -263,7 +267,7 @@ def test_f_identity_column():
 def test_f_entries_bounded_and_even():
     for name in builtin_names():
         code = get_code(name)
-        values = code.f_matrix().values
+        values = code.f_matrix()
         assert np.max(np.abs(values)) <= 1 << code.m
         assert np.all(values % 2 == 0)
 
@@ -276,7 +280,7 @@ def test_f_matrix_blind_to_recovery_phases(bitflip3):
         bitflip3.logical_z,
         [-r for r in bitflip3.recovery],
     )
-    assert np.array_equal(flipped.f_matrix().values, bitflip3.f_matrix().values)
+    assert np.array_equal(flipped.f_matrix(), bitflip3.f_matrix())
 
 
 def _f_by_eta(code) -> np.ndarray:
@@ -303,8 +307,8 @@ def _variants(code):
 @pytest.mark.parametrize("name", sorted(EXPECTED_PARAMETERS))
 def test_f_matrix_matches_entrywise_eta_sums(name):
     for code in _variants(get_code(name)):
-        values = code.f_matrix().values
-        assert values.dtype == np.int64
+        values = code.f_matrix()
+        assert values.dtype == np.int64 and not values.flags.writeable
         assert np.array_equal(values, _f_by_eta(code))
 
 
@@ -384,7 +388,7 @@ def _group_by_products(code) -> list[PauliString]:
 
 def _table_by_products(code, sigma) -> list[tuple[int, int, int, int]]:
     """Rows (x mask, z mask, alpha, beta * 2^m) of |S_i sigma_bar|."""
-    column = code.f_matrix().values[:, "IXYZ".index(sigma)].tolist()
+    column = code.f_matrix()[:, "IXYZ".index(sigma)].tolist()
     rows = []
     for s, f in zip(_group_by_products(code), column):
         prod = s * code.logical(sigma)
@@ -485,7 +489,7 @@ def test_auto_recovery_trivial_code():
 def test_auto_recovery_five_qubit_matches_single_qubit_corrections(five_qubit):
     recs = auto_recovery(five_qubit.generators)
     assert {str(r) for r in recs} == {str(r) for r in five_qubit.recovery}
-    assert all(r.pauli_weight() <= 1 for r in recs)
+    assert all((r.x_mask | r.z_mask).bit_count() <= 1 for r in recs)
 
 
 def test_auto_recovery_unreachable_syndromes():
@@ -493,20 +497,55 @@ def test_auto_recovery_unreachable_syndromes():
         auto_recovery([P("ZZI"), P("ZZI")], n=3)
 
 
-@pytest.mark.parametrize("name", ["bitflip3", "five-qubit"])
+def _words(n, max_weight):
+    """Every word over IXYZ on n qubits of weight at most max_weight."""
+    for weight in range(max_weight + 1):
+        for positions in itertools.combinations(range(n), weight):
+            for letters in itertools.product("XYZ", repeat=weight):
+                word = ["I"] * n
+                for q, c in zip(positions, letters):
+                    word[q] = c
+                yield "".join(word)
+
+
+def _leaders_by_eta(generators, n, max_weight):
+    """Per syndrome of the eta reference, the least (weight, word) over the
+    words up to max_weight; "I" < "X" < "Y" < "Z" as characters, so words
+    compare in the tie-break order of `auto_recovery`."""
+    best = {}
+    for word in _words(n, max_weight):
+        key = (n - word.count("I"), word)
+        s = syndrome(generators, P(word))
+        best[s] = min(best.get(s, key), key)
+    return [P(best[s][1]) for s in range(1 << len(generators))]
+
+
+@pytest.mark.parametrize("name", builtin_names())
 def test_auto_recovery_leaders_have_minimal_weight(name):
-    # exhaustive reference: group all strings by syndrome, take the least weight
+    # every leader has weight <= 3, so words up to weight 3 reach every syndrome;
+    # the code's generators and a qubit-permuted spec with shuffled generators
     code = get_code(name)
-    recs = auto_recovery(code.generators)
-    best: dict[int, int] = {}
-    for word in itertools.product("IXYZ", repeat=code.n):
-        p = PauliString("".join(word))
-        s = code.syndrome(p)
-        w = p.pauli_weight()
-        if s not in best or w < best[s]:
-            best[s] = w
-    for s, leader in enumerate(recs):
-        assert leader.pauli_weight() == best[s]
+    rng = np.random.default_rng(5)
+    gens = [code.generators[i] for i in rng.permutation(code.m)]
+    shuffled = parse_code_spec(spec_text(code, rng.permutation(code.n), gens, "auto"))
+    for generators in (code.generators, shuffled.generators):
+        assert auto_recovery(generators) == _leaders_by_eta(generators, code.n, 3)
+
+
+def test_permuted_steane_matches_eta_reference(steane):
+    code = parse_code_spec(spec_text(steane, [3, 0, 6, 2, 5, 1, 4], recovery="auto"))
+    group = {(s.x_mask, s.z_mask) for s in code.group()}
+    d = w = code.n + 1
+    for word in _words(code.n, code.n):
+        p = P(word)
+        if word != "I" * code.n and syndrome(code.generators, p) == 0:
+            weight = code.n - word.count("I")
+            if (p.x_mask, p.z_mask) in group:
+                w = min(w, weight)
+            else:
+                d = min(d, weight)
+    assert code.distance_and_w() == (d, w) == (3, 4)
+    assert list(code.recovery) == _leaders_by_eta(code.generators, code.n, code.n)
 
 
 # -- code spec files ----------------------------------------------------------------
