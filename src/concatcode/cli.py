@@ -186,7 +186,9 @@ def _cmd_map(args) -> int:
         payload["components"] = diagonal_map(code).to_json_obj()
     if args.channel is not None:
         channel = parse_channel_literal(args.channel)
-        record = iterate(code, channel, k_max=args.levels, tol=args.tol)
+        # an overflowing level ends the orbit, as recorded, not with a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            record = iterate(code, channel, k_max=args.levels, tol=args.tol)
         if args.format == "csv":
             if args.symbolic:
                 raise ValueError("CSV output cannot carry the symbolic polynomial")

@@ -268,23 +268,27 @@ def threshold(
     return lo
 
 
-def jacobian_fd(code: StabilizerCode, at: DiagonalChannel, h: float = 1e-5) -> np.ndarray:
-    """Central-difference 3x3 Jacobian of the diagonal-reduced coding map."""
+def _central_differences(f, base: np.ndarray, h: float) -> np.ndarray:
+    """Central differences (f(base + h e_c) - f(base - h e_c)) / 2h of the
+    array function f, one column per entry c of base in row-major order."""
     if h <= 0:
         raise ValueError("step size must be positive")
+    columns = []
+    for c in range(base.size):
+        plus, minus = base.copy(), base.copy()
+        plus.flat[c] += h
+        minus.flat[c] -= h
+        columns.append(((f(plus) - f(minus)) / (2.0 * h)).ravel())
+    return np.stack(columns, axis=1)
+
+
+def jacobian_fd(code: StabilizerCode, at: DiagonalChannel, h: float = 1e-5) -> np.ndarray:
+    """Central-difference 3x3 Jacobian of the diagonal-reduced coding map."""
     poly = diagonal_map(code)
-    base = np.array(at.as_tuple())
-    out = np.empty((3, 3))
-    for c in range(3):
-        plus = base.copy()
-        minus = base.copy()
-        plus[c] += h
-        minus[c] -= h
-        fp = poly.apply(DiagonalChannel(*plus)).as_tuple()
-        fm = poly.apply(DiagonalChannel(*minus)).as_tuple()
-        for r in range(3):
-            out[r, c] = (fp[r] - fm[r]) / (2.0 * h)
-    return out
+    return _central_differences(
+        lambda xyz: np.array(poly.apply(DiagonalChannel(*xyz)).as_tuple()),
+        np.array(at.as_tuple()), h,
+    )
 
 
 def jacobian_fd_full(code: StabilizerCode, at: StokesChannel, h: float = 1e-5) -> np.ndarray:
@@ -293,20 +297,9 @@ def jacobian_fd_full(code: StabilizerCode, at: StokesChannel, h: float = 1e-5) -
     Entries are row-major over (output entry, input entry).  Exposed as an
     experiment hook; no attracting-fixed-point claim is attached to it.
     """
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    base = at.matrix
-    out = np.empty((16, 16))
-    for c in range(16):
-        i, j = divmod(c, 4)
-        plus = base.copy()
-        minus = base.copy()
-        plus[i, j] += h
-        minus[i, j] -= h
-        fp = general_map(code, StokesChannel(plus)).matrix
-        fm = general_map(code, StokesChannel(minus)).matrix
-        out[:, c] = ((fp - fm) / (2.0 * h)).ravel()
-    return out
+    return _central_differences(
+        lambda matrix: general_map(code, StokesChannel(matrix)).matrix, at.matrix, h
+    )
 
 
 def error_series(alpha: float, eps0: float, k: int) -> float:

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pauli import PHASES, PauliString
-
 PAULI_MATS = np.array(
     [
         [[1, 0], [0, 1]],
@@ -15,20 +13,6 @@ PAULI_MATS = np.array(
     ],
     dtype=complex,
 )
-
-
-def pauli_dense(p: PauliString) -> np.ndarray:
-    """Dense 2^n x 2^n matrix of a Pauli string, phase included.
-
-    With p = i^k X^x Z^z and qubit 0 the most significant index bit,
-    column c has one nonzero, i^k (-1)^|z & c|, at row c ^ x.
-    """
-    x, z = (int(f"{mask:0{p.n}b}"[::-1], 2) for mask in (p.x_mask, p.z_mask))
-    columns = np.arange(1 << p.n)
-    out = np.zeros((1 << p.n, 1 << p.n), dtype=complex)
-    unit = PHASES[(p.phase_exponent + (x & z).bit_count()) % 4]
-    out[columns ^ x, columns] = np.where(np.bitwise_count(columns & z) & 1, -unit, unit)
-    return out
 
 
 def map_tensor(stokes: np.ndarray) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 Decoding uses W_j = E^dag R_j P_j (encoder E, recovery R_j, syndrome projector
 P_j), with W_j^dag made by applying each generator's (I +- g)/2 to R_j^dag E.
+Every Pauli operator applied here (generators, logicals, recoveries) is the
+signed row permutation read from its x and z masks, never a 2^n x 2^n matrix.
 Each code keeps A_s = sum_j W_j^dag P_s W_j and B_t = E (P_t / 2) E^dag as real
 Pauli coefficients, so a channel N costs one adjoint pass over the four A_s:
 T[s, t] = tr(N^dag(A_s) B_t).  No Pauli-algebra shortcut of the polynomial code
@@ -17,8 +19,8 @@ import numpy as np
 
 from . import linalg
 from .channel import StokesChannel, as_stokes
-from .pauli import LETTERS
-from .stabilizer import CapabilityError, StabilizerCode, per_code
+from .pauli import PHASES
+from .stabilizer import CapabilityError, StabilizerCode, mask_arrays, per_code
 
 MAX_DENSE_QUBITS = 9
 
@@ -42,22 +44,30 @@ class _DenseParts:
     inputs: np.ndarray  # (4^n, 4): column t holds the traces tr(P_alpha B_t)
 
 
-def _dense_generators(code: StabilizerCode) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each generator g as the signed row permutation (columns, factors) of
-    its dense matrix, (g @ x)[r] = factors[r] * x[columns[r]]; n <= 9 only."""
-    if code.n > MAX_DENSE_QUBITS:
+def _signed_permutations(paulis, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pauli strings i^k X^x Z^z as the signed row permutations of their dense
+    matrices, (p @ v)[r] = factors[r] * v[columns[r]], stacked in two arrays of
+    shape (len(paulis), 2^n); qubit 0 is the most significant index bit, so row
+    r reads column r ^ x' with factor i^k (-1)^|z' & (r ^ x')| for the
+    bit-reversed masks x' and z'.  n <= 9 only."""
+    if n > MAX_DENSE_QUBITS:
         raise CapabilityError(
-            f"dense simulation is limited to n <= {MAX_DENSE_QUBITS}, code has n = {code.n}"
+            f"dense simulation is limited to n <= {MAX_DENSE_QUBITS}, code has n = {n}"
         )
-    dense = [linalg.pauli_dense(g) for g in code.generators]
-    return [(np.abs(d).argmax(axis=1), d.sum(axis=1)) for d in dense]  # one nonzero per row
+    masks = mask_arrays(paulis)
+    k = np.array([p.phase_exponent for p in paulis], dtype=int)
+    unit = np.array(PHASES)[(k + np.bitwise_count(masks[0] & masks[1])) % 4, None]
+    x, z = ((masks[..., None] >> np.arange(n)) & 1) @ (1 << np.arange(n)[::-1])
+    columns = np.arange(1 << n) ^ x[:, None]
+    return columns, np.where(np.bitwise_count(columns & z[:, None]) & 1, -unit, unit)
 
 
-def _project(generators, x: np.ndarray, syndromes) -> np.ndarray:
-    """Apply the syndrome projector prod_i (I + (-1)^{bit i} g_i)/2 to the
-    columns of x; `syndromes` gives each column's syndrome (broadcast)."""
-    for i, (columns, factors) in enumerate(generators):
-        image = factors[:, None] * x[columns]
+def _project(columns: np.ndarray, factors: np.ndarray, x: np.ndarray, syndromes) -> np.ndarray:
+    """Apply the syndrome projector prod_i (I + (-1)^{bit i} g_i)/2 of the signed
+    permutations g_i to the columns of x; `syndromes` gives each column's
+    syndrome (broadcast)."""
+    for i, (rows, signs) in enumerate(zip(columns, factors)):
+        image = signs[:, None] * x[rows]
         image *= 0.5 - ((syndromes >> i) & 1)
         x = image + 0.5 * x
     return x
@@ -68,7 +78,9 @@ def _per_qubit(single: np.ndarray, data: np.ndarray, n: int) -> np.ndarray:
     two per step by their Kronecker product, each step one matmul written transposed
     into one of two buffers so those axes move last: a trailing axis comes out first."""
     pair = (single[:, None, :, None] * single[None, :, None, :]).reshape(16, 16)  # kron
-    buffers = [np.empty(data.size, dtype=np.result_type(single, data)) for _ in range(2)]
+    # one block for both: freeing it lifts glibc's dynamic mmap and trim thresholds
+    # above its size, so later calls reuse heap pages instead of faulting in new ones
+    buffers = np.empty((2, data.size), dtype=np.result_type(single, data))
     for i, step in enumerate([pair] * (n // 2) + [single] * (n % 2)):
         rest = data.size // len(step)
         out = buffers[i % 2].reshape(rest, len(step))
@@ -78,30 +90,28 @@ def _per_qubit(single: np.ndarray, data: np.ndarray, n: int) -> np.ndarray:
 
 @per_code
 def _dense_parts(code: StabilizerCode) -> _DenseParts:
-    generators = _dense_generators(code)
-    n, dim = code.n, 1 << code.n
+    n, m, dim = code.n, code.m, 1 << code.n
+    # the generators, then Z_bar, then X_bar
+    columns, factors = _signed_permutations([*code.generators, code.logical_z, code.logical_x], n)
 
-    plus_z = _project(generators, (np.eye(dim) + linalg.pauli_dense(code.logical_z)) / 2.0, 0)
+    # P_C (I + Z_bar)/2 as one projection: its factors commute and every entry is dyadic
+    plus_z = _project(columns[: m + 1], factors[: m + 1], np.eye(dim), 0)
     norms = np.linalg.norm(plus_z, axis=0)
-    columns = np.nonzero(norms > 1e-8)[0]
-    if len(columns) == 0:
+    nonzero = np.nonzero(norms > 1e-8)[0]
+    if len(nonzero) == 0:
         raise ValueError("codespace projector is zero; the code is invalid")
-    ket0 = plus_z[:, columns[0]] / norms[columns[0]]
-    ket1 = linalg.pauli_dense(code.logical_x) @ ket0
+    ket0 = plus_z[:, nonzero[0]] / norms[nonzero[0]]
+    ket1 = factors[m + 1] * ket0[columns[m + 1]]
     encoder = np.stack([ket0, ket1], axis=1)
 
-    # R_j^dag E for all j, factor by factor; letters are hermitian, phases conjugate
-    recoveries = code.recovery_by_syndrome()
-    count = len(recoveries)
-    letters = linalg.PAULI_MATS[[[LETTERS.index(c) for c in r.letters] for r in recoveries]]
-    stack = np.conj([r.phase for r in recoveries])[:, None, None] * encoder
-    for q in range(n):
-        split = stack.reshape(count, 1 << q, 2, -1)  # qubit q on its own axis
-        stack = np.matmul(letters[:, q, None], split).reshape(stack.shape)
+    # R_j^dag E for all j: row r of R^dag is conj(factors[columns[r]]) times row columns[r]
+    rows, signs = _signed_permutations(code.recovery_by_syndrome(), n)
+    count = len(rows)
+    stack = np.take_along_axis(signs, rows, axis=1).conj()[..., None] * encoder[rows]
 
     # W_j^dag = P_j R_j^dag E, with every syndrome's two columns side by side
     columns_by_syndrome = stack.transpose(1, 0, 2).reshape(dim, 2 * count)
-    w_dag = _project(generators, columns_by_syndrome, np.repeat(np.arange(count), 2))
+    w_dag = _project(columns[:m], factors[:m], columns_by_syndrome, np.repeat(np.arange(count), 2))
     decoders = w_dag.conj().T.reshape(count, 2, dim)
 
     def coefficients(x: np.ndarray, scale: float) -> np.ndarray:  # scale^n tr(P_alpha x)

@@ -1,9 +1,10 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from concatcode import get_code
-from concatcode.pauli import eta
+from concatcode.pauli import PHASES, eta
 
 
 def spec_text(code, perm=None, generators=None, recovery=None) -> str:
@@ -27,6 +28,21 @@ def spec_text(code, perm=None, generators=None, recovery=None) -> str:
     else:
         lines += [f"recovery {moved(r)}" for r in recovery]
     return "\n".join(lines) + "\n"
+
+
+def pauli_dense(p) -> np.ndarray:
+    """Dense 2^n x 2^n matrix of a Pauli string, phase included: the reference
+    for the oracle's signed permutations.
+
+    With p = i^k X^x Z^z and qubit 0 the most significant index bit,
+    column c has one nonzero, i^k (-1)^|z & c|, at row c ^ x.
+    """
+    x, z = (int(f"{mask:0{p.n}b}"[::-1], 2) for mask in (p.x_mask, p.z_mask))
+    columns = np.arange(1 << p.n)
+    out = np.zeros((1 << p.n, 1 << p.n), dtype=complex)
+    unit = PHASES[(p.phase_exponent + (x & z).bit_count()) % 4]
+    out[columns ^ x, columns] = np.where(np.bitwise_count(columns & z) & 1, -unit, unit)
+    return out
 
 
 def syndrome(generators, p) -> int:

@@ -384,6 +384,21 @@ def _run_in_subprocess(argv):
     return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
 
 
+OVERFLOW_HEADER = "k," + ",".join(f"t_{a}{b}" for a in "ixyz" for b in "ixyz") + ",dist_to_id\n"
+
+
+@pytest.mark.parametrize("command", ["orbit", "map"])
+@pytest.mark.parametrize("row0", ["1", "0.5"])
+def test_orbit_that_overflows_writes_no_warning(command, row0):
+    # row0 = 1 runs the trace-preserving form of general_map, 0.5 the full form
+    channel = f"stokes:{row0},0,0,0,0,1e200,0,0,0,0,1,0,0,0,0,1"
+    argv = [command, "five-qubit", "--channel", channel, "--levels", "3", "--format", "csv"]
+    done = _run_in_subprocess([sys.executable, "-m", "concatcode", *argv])
+    assert (done.returncode, done.stderr) == (0, "")
+    big = "9.9999999999999997e+199"
+    assert done.stdout == OVERFLOW_HEADER + f"0,{row0},0,0,0,0,{big},0,0,0,0,1,0,0,0,0,1,{big}\n"
+
+
 def test_threshold_with_a_tolerance_below_the_float_spacing_returns(capsys):
     # a subprocess with a timeout: a bisection that never ends fails the test
     argv = ["threshold", "five-qubit", "--ray", "depol"]

@@ -1,5 +1,6 @@
 """Dense density-matrix simulation as an independent check of the algebra."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -26,10 +27,11 @@ from concatcode import (
     random_cptp,
     simulate,
 )
-from concatcode.linalg import PAULI_MATS, pauli_dense
-from concatcode.oracle import _dense_generators, _dense_parts, _project
-from concatcode.pauli import eta
+from concatcode.linalg import PAULI_MATS
+from concatcode.oracle import _dense_parts, _project, _signed_permutations
+from concatcode.pauli import PHASES, PauliString, eta
 from concatcode.stabilizer import parse_code_spec
+from conftest import pauli_dense
 
 DENSE_CODES = ("bitflip3", "five-qubit", "steane")
 
@@ -90,9 +92,28 @@ def apply_map_on_qubit(rho: np.ndarray, m: np.ndarray, qubit: int, nq: int) -> n
 
 def syndrome_projectors(code) -> list[np.ndarray]:
     """Dense projectors onto the syndrome subspaces, indexed by syndrome."""
-    generators = _dense_generators(code)
+    columns, factors = _signed_permutations(code.generators, code.n)
     eye = np.eye(1 << code.n, dtype=complex)
-    return [_project(generators, eye, j) for j in range(1 << code.m)]
+    return [_project(columns, factors, eye, j) for j in range(1 << code.m)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_signed_permutations_match_dense_reference(n):
+    """Every string on n qubits with each phase, alone and all in one batched
+    call, rebuilt as a dense matrix from its (columns, factors)."""
+    paulis = [
+        PauliString("".join(letters), phase)
+        for letters in itertools.product("IXYZ", repeat=n)
+        for phase in PHASES
+    ]
+    batch = _signed_permutations(paulis, n)
+    rows = np.arange(1 << n)
+    for i, p in enumerate(paulis):
+        columns, factors = _signed_permutations([p], n)
+        assert np.array_equal(columns[0], batch[0][i]) and np.array_equal(factors[0], batch[1][i])
+        dense = np.zeros((1 << n, 1 << n), dtype=complex)
+        dense[rows, columns[0]] = factors[0]
+        assert np.array_equal(dense, pauli_dense(p)), str(p)
 
 
 def test_bitflip3_codewords(bitflip3):
@@ -146,6 +167,15 @@ def test_syndrome_projectors_match_signed_stabilizer_sum(name):
         np.testing.assert_allclose(p, summed, atol=1e-12)
 
 
+@pytest.mark.parametrize("name", [*DENSE_CODES, "shor"])
+def test_decoded_identity_is_the_identity(name):
+    # A_0 = sum_j W_j^dag W_j = I: decoding preserves the trace
+    coefficients = _dense_parts(get_code(name)).observables[:, 0]
+    e_0 = np.zeros(len(coefficients))
+    e_0[0] = 1.0
+    np.testing.assert_allclose(coefficients, e_0, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("name", DENSE_CODES)
 def test_decoders_match_full_projector_product(name):
     # W_j = E^dag R_j P_j, here from full dense matrices
@@ -194,10 +224,12 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
 @pytest.mark.skipif(sys.platform != "linux", reason="minor page faults as glibc counts them")
 @pytest.mark.parametrize("mmap_threshold", [None, "131072"])
 def test_steane_extraction_touches_few_fresh_pages(mmap_threshold):
-    """A Steane extraction keeps its noise steps in two real buffers of
-    512 KiB, allocated once per call rather than per qubit, so whether malloc
-    serves them from the heap or by mmap costs at most about 256 faults of
-    4 KiB."""
+    """A Steane extraction keeps its noise steps in one real block of two
+    512 KiB buffers, allocated once per call rather than per qubit.  With
+    glibc's default, dynamic thresholds a freed block lets later calls reuse
+    heap pages, so a warm call touches almost no fresh page, whatever the
+    oracle's cold build left on the heap; with the mmap threshold fixed at
+    128 KiB every call maps the block anew, about 400 faults of 4 KiB."""
     env = {**os.environ, "PYTHONPATH": str(Path(concatcode.__file__).parents[1])}
     env.pop("MALLOC_MMAP_THRESHOLD_", None)
     if mmap_threshold is not None:
@@ -206,7 +238,7 @@ def test_steane_extraction_touches_few_fresh_pages(mmap_threshold):
         [sys.executable, "-c", FAULTS_PER_EXTRACTION],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert float(out.stdout) < 1000
+    assert float(out.stdout) < (32 if mmap_threshold is None else 1000)
 
 
 @pytest.mark.parametrize(

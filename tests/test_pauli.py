@@ -11,7 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from concatcode import PauliDimensionError, PauliString, eta
-from concatcode.linalg import PAULI_MATS, pauli_dense
+from concatcode.linalg import PAULI_MATS
+from conftest import pauli_dense
 
 P = PauliString.parse
 
