@@ -50,9 +50,9 @@ class DiagonalMapPolynomial:
     lexicographic (a, b, c) order; the implicit identity component is the
     constant 1.  Total degree never exceeds `n`.
 
-    `float_terms` is the float form that `evaluator` compiles: per component
-    X, Y, Z, the tuple of (float(coeff), a, b, c).  It is derived from
-    `components` on construction and takes no part in equality or repr.
+    `float_terms` is the float form that `evaluator` and `orbit` compile: per
+    component X, Y, Z, the tuple of (float(coeff), a, b, c).  It is derived
+    from `components` on construction and takes no part in equality or repr.
     """
 
     n: int
@@ -71,23 +71,20 @@ class DiagonalMapPolynomial:
     @functools.cached_property
     def evaluator(self) -> Callable[[float, float, float], tuple[float, float, float]]:
         """The float map (x, y, z) -> (X, Y, Z) on plain floats, which `apply`
-        and the diagonal orbit loop call; raises OverflowError where a power
-        leaves the float range.
+        calls; raises OverflowError where a power leaves the float range.
 
-        `float_terms` compiled on first use into one function, from source
-        generated as `dataclasses` generates `__init__`, of float reprs and
-        integer exponents only: per component in term order
-        `0.0 + c * x**a * y**b * z**c + ...`, factors x**0 = 1.0 left out.  Summed
-        left to right, as Python 3.11's `sum` adds floats, these are the bits of
-        the exact monomials on floats (Fraction * float is float(coeff) * float)."""
+        `_float_map_body` compiled on first use into one function."""
+        return _compile("evaluator", _EVALUATOR, _float_map_body(self.float_terms))
 
-        def product(c, *exps):
-            return " * ".join([repr(c)] + [f"{v}**{e}" for v, e in zip("xyz", exps) if e])
-
-        sums = (" + ".join(["0.0"] + [product(*t) for t in terms]) for terms in self.float_terms)
-        namespace: dict = {}
-        exec(f"def evaluator(x, y, z):\n    return ({', '.join(sums)})", namespace)
-        return namespace["evaluator"]
+    @functools.cached_property
+    def orbit(self) -> Callable[..., tuple[bool, int]]:
+        """`orbit(x, y, z, dist, k_max, tol, states, distances)`, the loop of
+        `dynamics._diagonal_orbit` with `_float_map_body` inlined: from the
+        state (x, y, z) at distance `dist` it appends each evaluated level's
+        triple and distance to `states` and `distances`, and returns whether
+        the orbit converged and the period (1 or 2) of the float cycle it
+        stopped on, else 0."""
+        return _compile("orbit", _ORBIT, _float_map_body(self.float_terms))
 
     def apply(self, t: DiagonalChannel) -> DiagonalChannel:
         """Image of a diagonal channel, in floating point.
@@ -138,6 +135,75 @@ class DiagonalMapPolynomial:
             ]
             for sigma in COMPONENTS
         }
+
+
+def _float_map_body(float_terms) -> list[str]:
+    """Statements that set X, Y, Z to the float map of x, y, z, of float reprs
+    and integer exponents only: each power x**a with a > 1 once into a local,
+    then per component in term order `0.0 + c * x**a * y**b * z**c + ...`,
+    factors x**0 = 1.0 left out.  Summed left to right, as Python 3.11's `sum`
+    adds floats, these are the bits of the exact monomials on floats
+    (Fraction * float is float(coeff) * float).  `pow` is deterministic, so a
+    shared power changes no bits, and x**1 is x itself."""
+
+    def factors(exps):
+        return [v if e == 1 else f"{v}{e}" for v, e in zip("xyz", exps) if e]
+
+    powers = {(v, e) for terms in float_terms for _, *exps in terms for v, e in zip("xyz", exps)}
+    lines = [f"{v}{e} = {v}**{e}" for v, e in sorted(powers) if e > 1]
+    for name, terms in zip("XYZ", float_terms):
+        products = (" * ".join([repr(c), *factors(exps)]) for c, *exps in terms)
+        lines.append(f"{name} = " + " + ".join(["0.0", *products]))
+    return lines
+
+
+def _compile(name: str, template: str, body: list[str]):
+    """The function `name` of `template` with the statements of `body` on the
+    line of {body}, from source generated as `dataclasses` generates
+    `__init__`."""
+    namespace = {"inf": math.inf}
+    exec(template.format(body="; ".join(body)), namespace)
+    return namespace[name]
+
+
+_EVALUATOR = """\
+def evaluator(x, y, z):
+    {body}
+    return X, Y, Z
+"""
+
+# `new_dist` is `deficit_distance(X, Y, Z)`: the deficits are NaN or
+# non-negative, so `< inf` fails on exactly the NaN and infinite ones, and the
+# running maximum keeps the first maximal deficit, as `max` does
+_ORBIT = """\
+def orbit(x, y, z, dist, k_max, tol, states, distances):
+    if dist < tol:
+        return True, 0
+    for k in range(k_max):
+        try:
+            {body}
+        except OverflowError:
+            return False, 0
+        dx, dy, dz = abs(1.0 - X), abs(1.0 - Y), abs(1.0 - Z)
+        if not (dx < inf and dy < inf and dz < inf):
+            return False, 0
+        new_dist = dx
+        if dy > new_dist:
+            new_dist = dy
+        if dz > new_dist:
+            new_dist = dz
+        states.append((X, Y, Z))
+        distances.append(new_dist)
+        if new_dist < tol:
+            return True, 0
+        if new_dist == dist and X == x and Y == y and Z == z:
+            return False, 1
+        if k and new_dist == last_dist and X == last_x and Y == last_y and Z == last_z:
+            return False, 2
+        last_x, last_y, last_z, last_dist = x, y, z, dist
+        x, y, z, dist = X, Y, Z, new_dist
+    return False, 0
+"""
 
 
 @per_code

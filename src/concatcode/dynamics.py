@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import DiagonalChannel, StokesChannel, deficit_distance, max_entry_distance
+from .channel import DiagonalChannel, StokesChannel, max_entry_distance
 from .codingmap import COMPONENTS, c_constants, diagonal_map, general_map
 from .stabilizer import StabilizerCode, get_code
 
@@ -86,32 +86,13 @@ def _diagonal_orbit(
     triples and their distances to the identity, whether it converged, and the
     period (1 or 2) of the float cycle it stopped on, else 0.
 
-    One `evaluator` call and no channel object per level.  State 0 is the
-    input's entries as floats; distance 0 is the input's own.
+    The loop is `DiagonalMapPolynomial.orbit`, compiled with the map inlined;
+    it builds no channel object per level.  State 0 is the input's entries as
+    floats; distance 0 is the input's own.
     """
-    evaluate = diagonal_map(code).evaluator
-    states = [(float(t0.x), float(t0.y), float(t0.z))]
-    distances = [max_entry_distance(t0)]
-    converged = distances[0] < tol
-    period = k = 0
-    while not (converged or period) and k < k_max:
-        try:
-            new = evaluate(*states[k])
-        except OverflowError:
-            break
-        dist = deficit_distance(*new)
-        if not math.isfinite(dist):
-            break
-        converged = dist < tol
-        if not converged:
-            # equal states have equal distances, a cheaper first test
-            if dist == distances[k] and new == states[k]:
-                period = 1
-            elif k and dist == distances[k - 1] and new == states[k - 1]:
-                period = 2
-        k += 1
-        states.append(new)
-        distances.append(dist)
+    states, distances = [(float(t0.x), float(t0.y), float(t0.z))], [max_entry_distance(t0)]
+    orbit = diagonal_map(code).orbit
+    converged, period = orbit(*states[0], distances[0], k_max, tol, states, distances)
     return states, distances, converged, period
 
 
@@ -199,19 +180,22 @@ def fixed_points_1d(
         return acc - x
 
     count = max(2, int(math.ceil((hi - lo) / SCAN_STEP)))
-    xs = [lo + (hi - lo) * i / count for i in range(count + 1)]
-    vals = [g(x) for x in xs]
-    if all(abs(v) < 1e-14 for v in vals):
+    xs = lo + (hi - lo) * np.arange(count + 1) / count
+    # the grid in one array pass, by the operations of g; overflow gives inf
+    # and inf - inf NaN, silently, as on Python floats
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.zeros_like(xs)
+        for coeff in reversed(cs):
+            vals = vals * xs + coeff
+        vals = vals - xs
+    near = np.abs(vals) < 1e-14
+    if near.all():
         return FixedPointScan(roots=(), degenerate=True)
 
-    roots: list[float] = []
-    for x, v in zip(xs, vals):
-        if abs(v) < 1e-14:
-            roots.append(x)
-    for (x0, v0), (x1, v1) in zip(zip(xs, vals), zip(xs[1:], vals[1:])):
-        if abs(v0) < 1e-14 or abs(v1) < 1e-14 or (v0 > 0) == (v1 > 0):
-            continue
-        a, b, va = x0, x1, v0
+    roots: list[float] = xs[near].tolist()
+    positive = vals > 0
+    brackets = np.flatnonzero(~near[:-1] & ~near[1:] & (positive[:-1] != positive[1:]))
+    for a, b, va in zip(xs[brackets].tolist(), xs[brackets + 1].tolist(), vals[brackets].tolist()):
         while b - a > tol:
             mid = 0.5 * (a + b)
             vm = g(mid)

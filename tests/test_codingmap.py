@@ -323,16 +323,25 @@ def test_c_m_grid_five_qubit():
     assert again.c_m == constants.c_m
 
 
-# float.hex of c_m; a faster evaluation must keep every bit
+# float.hex of c_m; a faster evaluation must keep every bit.  Seeds 13 and 32
+# move for some codes when numpy's `power` runs over another operand layout
 C_M_HEX = {
     ("bitflip3", 0): "0x1.76cffffffff2dp+11",
     ("bitflip3", 5): "0x1.76cffffffff2dp+11",
+    ("bitflip3", 13): "0x1.76cffffffff2dp+11",
+    ("bitflip3", 32): "0x1.76cffffffff2dp+11",
     ("five-qubit", 0): "0x1.65ca13dd70068p+2",
     ("five-qubit", 5): "0x1.7f5d74d008ac0p+2",
+    ("five-qubit", 13): "0x1.c876cf67b0b18p+2",
+    ("five-qubit", 32): "0x1.a60a8753e0c90p+2",
     ("steane", 0): "0x1.73d13f8cbd148p+3",
     ("steane", 5): "0x1.91a8c79f16c18p+3",
+    ("steane", 13): "0x1.deed122190690p+3",
+    ("steane", 32): "0x1.b818263a43468p+3",
     ("shor", 0): "0x1.0b861876ba40cp+4",
     ("shor", 5): "0x1.07e8d6b897bd2p+4",
+    ("shor", 13): "0x1.1677bf3b468aap+4",
+    ("shor", 32): "0x1.16a7ee6a5b848p+4",
 }
 
 

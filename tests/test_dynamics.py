@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,8 @@ import pytest
 import concatcode
 from concatcode import (
     DiagonalChannel,
+    DiagonalMapPolynomial,
+    Monomial,
     OrbitLevel,
     OrbitRecord,
     RaySpec,
@@ -33,6 +36,8 @@ from concatcode import (
     random_cptp,
     threshold,
 )
+from concatcode.channel import deficit_distance
+from concatcode.dynamics import _diagonal_orbit
 from conftest import spec_text
 
 SQRT_2_3 = math.sqrt(2.0 / 3.0)
@@ -94,44 +99,50 @@ def test_nan_input_is_an_unconverged_orbit(five_qubit):
     assert math.isnan(record.levels[0].distance)
 
 
+def test_diagonal_orbit_stops_on_an_infinite_deficit_not_an_infinite_sum():
+    # (x, y, z) -> (1.5 x, 1.5 y, z) from x = y = -1e307: from level 6 on the
+    # two deficits are finite but sum to inf; the orbit ends only before
+    # level 8, where x = -inf
+    poly = DiagonalMapPolynomial(n=1, components={
+        "X": (Monomial(1, 0, 0, Fraction(3, 2)),),
+        "Y": (Monomial(0, 1, 0, Fraction(3, 2)),),
+        "Z": (Monomial(0, 0, 1, Fraction(1)),),
+    })
+    states, distances = [(-1e307, -1e307, 1.0)], [1e307 + 1.0]
+    assert poly.orbit(*states[0], distances[0], 60, 1e-9, states, distances) == (False, 0)
+    assert len(states) == len(distances) == 8
+    assert distances == [deficit_distance(*state) for state in states]
+    assert math.isinf(-states[6][0] - states[6][1]) and math.isfinite(distances[7])
+
+
 @pytest.mark.parametrize(
     "t0, evaluations",
     # depol 0.3 reaches (0.0, 0.0, 0.0) at level 10; -0.0 maps to 0.0, which equals it
     [(depolarizing(0.3), 10), (DiagonalChannel(-0.0, -0.0, -0.0), 1)],
 )
-def test_orbit_at_a_float_fixed_point_matches_evaluating_every_level(
-    five_qubit, monkeypatch, t0, evaluations
-):
-    _assert_filled_orbit_matches_every_level(five_qubit, monkeypatch, t0, evaluations)
+def test_orbit_at_a_float_fixed_point_matches_evaluating_every_level(five_qubit, t0, evaluations):
+    _assert_filled_orbit_matches_every_level(five_qubit, t0, evaluations)
 
 
-def test_orbit_on_a_float_2_cycle_matches_evaluating_every_level(shor, monkeypatch):
+def test_orbit_on_a_float_2_cycle_matches_evaluating_every_level(shor):
     # from level 10 the orbit alternates between z = 0.9999999999999997 and
     # 0.9999999999999999 (x = y = 0); level 12 repeats level 10
     t0 = DiagonalChannel(0.75, 0.75, 0.75)
-    _assert_filled_orbit_matches_every_level(shor, monkeypatch, t0, 12)
+    _assert_filled_orbit_matches_every_level(shor, t0, 12)
 
 
-def _assert_filled_orbit_matches_every_level(code, monkeypatch, t0, evaluations):
+def _assert_filled_orbit_matches_every_level(code, t0, evaluations):
     poly = diagonal_map(code)
     state, levels = t0, [OrbitLevel(0, t0, max_entry_distance(t0))]
     for k in range(1, 61):
         state = poly.apply(state)
         levels.append(OrbitLevel(k, state, max_entry_distance(state)))
-    calls = []
-    original = poly.evaluator
-
-    def counting(x, y, z):
-        calls.append((x, y, z))
-        return original(x, y, z)
-
-    # the compiled evaluator is cached on the instance, which the orbit loop reads
-    monkeypatch.setitem(poly.__dict__, "evaluator", counting)
     record = iterate(code, t0)
     assert record == OrbitRecord(levels=tuple(levels), converged=False, iterations_used=60)
     bits = [[v.hex() for v in l.channel.as_tuple()] for l in levels]
     assert [[v.hex() for v in l.channel.as_tuple()] for l in record.levels] == bits
-    assert len(calls) == evaluations
+    # the levels after the float cycle are filled in, not evaluated
+    assert len(_diagonal_orbit(code, t0, 60, 1e-9)[0]) - 1 == evaluations
 
 
 def _reference_iterate(code, t0, k_max=60, tol=1e-9):
@@ -350,6 +361,23 @@ def test_threshold_matches_a_bisection_over_iterate(name, ray):
     value = threshold(code, ray)
     assert type(value) is float
     assert value.hex() == _reference_threshold(code, ray).hex()
+
+
+@pytest.mark.parametrize("ray", _RAYS, ids=lambda r: ",".join(f"{v:.3g}" for v in r.direction))
+@pytest.mark.parametrize("name", builtin_names())
+def test_threshold_probes_agree_with_iterate(name, ray):
+    # the probes and `iterate` run one compiled loop; read its verdict both
+    # ways at and just above the threshold and well inside and outside it
+    code = get_code(name)
+    value = threshold(code, ray)
+    verdicts = []
+    for eps in (value, math.nextafter(value, 2.0), value + 1e-6, 0.5 * value, 0.5 * (1.0 + value)):
+        t0 = ray.channel_at(eps)
+        converged = _diagonal_orbit(code, t0, 60, 1e-9)[2]
+        assert converged == iterate(code, t0).converged, eps
+        verdicts.append(converged)
+    assert verdicts[0] and verdicts[3]
+    assert value == 1.0 or not all(verdicts)
 
 
 def test_threshold_matches_a_bisection_over_iterate_with_other_settings(steane):
