@@ -87,8 +87,8 @@ class StokesChannel:
     def choi(self) -> np.ndarray:
         return linalg.choi_matrix(self._m)
 
-    def kraus_operators(self, cutoff: float = 1e-12) -> list[np.ndarray]:
-        return linalg.kraus_from_choi(self.choi(), cutoff=cutoff)
+    def kraus_operators(self) -> list[np.ndarray]:
+        return linalg.kraus_from_choi(self.choi())
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Image of a 2x2 operator, hermitian or not, under the superoperator."""
@@ -174,11 +174,11 @@ def max_entry_distance(channel) -> float:
     return float(np.abs(channel.matrix - _EYE).max())
 
 
-def random_cptp(rng: np.random.Generator, kraus_rank: int = 4) -> StokesChannel:
-    """A random CPTP channel built from a Haar-style random isometry."""
-    g = rng.normal(size=(2 * kraus_rank, 2)) + 1j * rng.normal(size=(2 * kraus_rank, 2))
+def random_cptp(rng: np.random.Generator) -> StokesChannel:
+    """A random CPTP channel of Kraus rank 4 built from a Haar-style random isometry."""
+    g = rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2))
     q, _ = np.linalg.qr(g)
-    kraus = [q[2 * e : 2 * e + 2, :] for e in range(kraus_rank)]
+    kraus = [q[2 * e : 2 * e + 2, :] for e in range(4)]
     matrix = linalg.stokes_from_kraus(kraus)
     matrix[0] = (1.0, 0.0, 0.0, 0.0)  # trace-preserving by construction; drop rounding
     return StokesChannel(matrix)

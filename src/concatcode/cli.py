@@ -11,6 +11,7 @@ the default seed.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -20,7 +21,6 @@ import numpy as np
 
 from .channel import (
     DiagonalChannel,
-    StokesChannel,
     as_stokes,
     parse_channel_literal,
 )
@@ -67,8 +67,7 @@ def canonical_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (float, np.floating)):
         return _format_float(float(obj))
     if isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -97,10 +96,10 @@ def orbit_rows(record) -> tuple[list[str], list[list]]:
     else:
         sigmas = ("i", "x", "y", "z")
         header = ["k"] + [f"t_{a}{b}" for a in sigmas for b in sigmas] + ["dist_to_id"]
-        rows = []
-        for l in record.levels:
-            m = l.channel.matrix if isinstance(l.channel, StokesChannel) else l.channel.to_stokes().matrix
-            rows.append([l.k, *[float(v) for v in m.ravel()], l.distance])
+        rows = [
+            [l.k, *[float(v) for v in l.channel.matrix.ravel()], l.distance]
+            for l in record.levels
+        ]
     return header, rows
 
 

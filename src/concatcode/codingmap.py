@@ -141,8 +141,8 @@ def _float_map_body(float_terms) -> list[str]:
     """Statements that set X, Y, Z to the float map of x, y, z, of float reprs
     and integer exponents only: each power x**a with a > 1 once into a local,
     then per component in term order `0.0 + c * x**a * y**b * z**c + ...`,
-    factors x**0 = 1.0 left out.  Summed left to right, as Python 3.11's `sum`
-    adds floats, these are the bits of the exact monomials on floats
+    factors x**0 = 1.0 left out.  Summed strictly left to right, with no
+    compensation, these are the bits of the exact monomials on floats
     (Fraction * float is float(coeff) * float).  `pow` is deterministic, so a
     shared power changes no bits, and x**1 is x itself."""
 

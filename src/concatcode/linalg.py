@@ -15,29 +15,23 @@ PAULI_MATS = np.array(
 )
 
 
-def map_tensor(stokes: np.ndarray) -> np.ndarray:
-    """Process tensor M[a,b,c,d] = T(|c><d|)[a,b] of a Stokes matrix."""
-    return 0.5 * np.einsum("st,sab,tdc->abcd", stokes, PAULI_MATS, PAULI_MATS)
-
-
 def choi_matrix(stokes: np.ndarray) -> np.ndarray:
-    """Unnormalized Choi operator sum_ij T(|i><j|) (x) |i><j| (4x4)."""
-    m = map_tensor(stokes)
+    """Unnormalized Choi operator sum_ij T(|i><j|) (x) |i><j| (4x4), read from
+    the process tensor M[a,b,c,d] = T(|c><d|)[a,b] of a Stokes matrix."""
+    m = 0.5 * np.einsum("st,sab,tdc->abcd", stokes, PAULI_MATS, PAULI_MATS)
     return m.transpose(0, 2, 1, 3).reshape(4, 4)
 
 
-def kraus_from_choi(
-    choi: np.ndarray, cutoff: float = 1e-12, cp_tol: float = 1e-10
-) -> list[np.ndarray]:
+def kraus_from_choi(choi: np.ndarray) -> list[np.ndarray]:
     """Kraus operators from the Choi eigendecomposition.
 
-    Eigenvalues below `cutoff` are dropped; an eigenvalue below -`cp_tol`
-    means the map is not completely positive and raises ValueError.
+    Eigenvalues below 1e-12 are dropped; an eigenvalue below -1e-10 means the
+    map is not completely positive and raises ValueError.
     """
     vals, vecs = np.linalg.eigh(choi)
-    if vals[0] < -cp_tol:
+    if vals[0] < -1e-10:
         raise ValueError(f"map is not completely positive (Choi eigenvalue {vals[0]:.3e})")
-    return [np.sqrt(lam) * v.reshape(2, 2) for lam, v in zip(vals, vecs.T) if lam > cutoff]
+    return [np.sqrt(lam) * v.reshape(2, 2) for lam, v in zip(vals, vecs.T) if lam > 1e-12]
 
 
 def stokes_from_kraus(kraus) -> np.ndarray:

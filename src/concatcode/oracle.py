@@ -6,9 +6,10 @@ Every Pauli operator applied here (generators, logicals, recoveries) is the
 signed row permutation read from its x and z masks, never a 2^n x 2^n matrix.
 Each code keeps A_s = sum_j W_j^dag P_s W_j and B_t = E (P_t / 2) E^dag as real
 Pauli coefficients, so a channel N costs one adjoint pass over the four A_s:
-T[s, t] = tr(N^dag(A_s) B_t).  No Pauli-algebra shortcut of the polynomial code
-path is reused, so `extract_stokes` independently checks `general_map`.  Bounded
-to n <= 9 physical qubits.
+T[s, t] = tr(N^dag(A_s) B_t).  On each qubit's Pauli coefficients N^dag is the
+transposed Stokes matrix of N, the channel's own definition.  No Pauli-algebra
+shortcut of the polynomial code path is reused, so `extract_stokes`
+independently checks `general_map`.  Bounded to n <= 9 physical qubits.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .channel import StokesChannel, as_stokes
+from .channel import StokesChannel, as_stokes, is_valid_channel, random_cptp
+from .codingmap import general_map
 from .pauli import PHASES
 from .stabilizer import CapabilityError, StabilizerCode, mask_arrays, per_code
 
@@ -147,31 +149,24 @@ def simulate(code: StabilizerCode, channel, rho0: np.ndarray) -> np.ndarray:
 def extract_stokes(code: StabilizerCode, channel) -> StokesChannel:
     """Effective Stokes matrix T[s, t] = tr(N^dag(A_s) B_t) of one coding level.
 
-    The channel must be finite, trace-preserving and completely positive; the
-    adjoint process of its Choi Kraus operators (eigenvalue cutoff 1e-12),
-    rotated into the Pauli basis, acts on each qubit of the four A_s."""
+    The channel must be finite and valid (`is_valid_channel`: trace-preserving,
+    Choi eigenvalues >= -1e-10).  Its adjoint maps P_s to sum_t T[s, t] P_t, so
+    the transposed Stokes matrix acts on each qubit of the four A_s."""
     parts = _dense_parts(code)
     t = as_stokes(channel)
     if not np.isfinite(t.matrix).all():
         raise ValueError("the dense simulation requires a channel with finite entries")
-    if not t.is_trace_preserving():
-        raise ValueError("the dense simulation requires a trace-preserving channel")
-    kraus = np.array(t.kraus_operators(cutoff=1e-12))
-    # N^dag(X)[a, b] = sum_e conj(K_e[c, a]) X[c, d] K_e[d, b]
-    adjoint = np.einsum("eca,edb->abcd", kraus.conj(), kraus).reshape(4, 4)
-    process = _TO_PAULI @ adjoint @ _TO_PAULI.conj().T / 2.0
-    if np.max(np.abs(process.imag)) > 1e-9:
-        raise RuntimeError("the noise process has a non-real Pauli entry")
-    observables = _per_qubit(process.real, parts.observables, code.n)
+    if not is_valid_channel(t):
+        raise ValueError(
+            "the dense simulation requires a trace-preserving, completely positive channel"
+        )
+    observables = _per_qubit(t.matrix.T, parts.observables, code.n)
     return StokesChannel(observables.reshape(4, -1) @ parts.inputs)
 
 
 def max_oracle_deviation(code: StabilizerCode, trials: int, seed: int = 0) -> float:
     """Largest entrywise gap between the dense oracle and the algebraic map
     over seeded random CPTP channels."""
-    from .channel import random_cptp
-    from .codingmap import general_map
-
     rng = np.random.default_rng(seed)
     channels = (random_cptp(rng) for _ in range(trials))
     gaps = [extract_stokes(code, c).matrix - general_map(code, c).matrix for c in channels]

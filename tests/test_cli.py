@@ -159,6 +159,15 @@ def test_orbit_json_general_channel(capsys):
     assert len(payload["levels"]) == 3
 
 
+@pytest.mark.parametrize("literal", ["depol:\t0.05", "depol:0.05\n", "depol:\x0b0.05"])
+def test_json_escapes_control_characters_in_strings(capsys, literal):
+    # float() strips the whitespace, so the literal is accepted and echoed back verbatim
+    payload = run_json(
+        capsys, "orbit", "five-qubit", "--channel", literal, "--levels", "1", "--format", "json"
+    )
+    assert payload["channel"] == literal
+
+
 def test_threshold_five_qubit(capsys):
     payload = run_json(capsys, "threshold", "five-qubit", "--ray", "depol")
     assert abs(payload["threshold"] - (1.0 - SQRT_2_3)) <= 1e-5

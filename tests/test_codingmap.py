@@ -15,10 +15,12 @@ dense simulator (see test_oracle) and by an independent convolution of
 the inner cube for the Shor Z component.
 """
 
+import functools
 import gc
 import hashlib
 import itertools
 import math
+import operator
 import weakref
 from fractions import Fraction
 
@@ -56,9 +58,15 @@ def monomials(code_name: str, sigma: str):
     return [(m.a, m.b, m.c, m.coeff) for m in poly.components[sigma]]
 
 
+def left_to_right_sum(terms, start=0):
+    """start + t0 + t1 + ... in that order; from Python 3.12 the builtin `sum`
+    adds floats with compensation, so it would not give these bits."""
+    return functools.reduce(operator.add, terms, start)
+
+
 def evaluate(poly, sigma, x, y, z):
     """One component of `poly` at (x, y, z); exact when the inputs are Fractions."""
-    return sum(m.coeff * x**m.a * y**m.b * z**m.c for m in poly.components[sigma])
+    return left_to_right_sum(m.coeff * x**m.a * y**m.b * z**m.c for m in poly.components[sigma])
 
 
 def test_bitflip3_polynomials_match_hand_derivation():
@@ -148,7 +156,8 @@ def test_apply_diagonal_examples():
 def _summed_float_terms(poly, x, y, z):
     """The float evaluation as a sum over `float_terms`, term by term."""
     return tuple(
-        sum((c * x**a * y**b * z**e for c, a, b, e in terms), 0.0) for terms in poly.float_terms
+        left_to_right_sum((c * x**a * y**b * z**e for c, a, b, e in terms), 0.0)
+        for terms in poly.float_terms
     )
 
 

@@ -54,7 +54,7 @@ def _reference_simulate(code, channel, rhos):
     the leading pair, then a transposed copy that moves it last.
     """
     parts = _dense_parts(code)
-    kraus = np.array(channel.kraus_operators(cutoff=1e-12))
+    kraus = np.array(channel.kraus_operators())
     process = np.einsum("eac,ebd->abcd", kraus, kraus.conj()).reshape(4, 4)
 
     n, batch, dim = code.n, len(rhos), 1 << code.n
@@ -196,7 +196,7 @@ def test_simulate_matches_qubit_by_qubit_process_tensors(name):
     rng = np.random.default_rng(11)
     channel = random_cptp(rng)
     rho0 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    kraus = np.array(channel.kraus_operators(cutoff=1e-12))
+    kraus = np.array(channel.kraus_operators())
     process = np.einsum("eac,ebd->abcd", kraus, kraus.conj())
     parts = _dense_parts(code)
     noisy = parts.encoder @ rho0 @ parts.encoder.conj().T
@@ -316,6 +316,14 @@ def test_oracle_equivalence_shor(shor):
     assert max_oracle_deviation(shor, trials=2, seed=5) <= 1e-10
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize(("name", "trials"), [(name, 20) for name in DENSE_CODES] + [("shor", 2)])
+def test_oracle_agrees_with_general_map_to_rounding(name, trials, seed):
+    # both take the noise as its own Stokes matrix, with no eigendecomposition
+    # between, so they differ by the rounding of their sums: a few ulps
+    assert max_oracle_deviation(get_code(name), trials=trials, seed=seed) <= 1e-15
+
+
 def test_trace_preservation_and_positivity(five_qubit):
     rng = np.random.default_rng(9)
     for _ in range(5):
@@ -337,14 +345,14 @@ def test_oracle_rejects_large_codes(ten_qubit_spec):
 
 def test_oracle_rejects_non_cp(five_qubit):
     transpose_map = StokesChannel(np.diag([1.0, 1.0, -1.0, 1.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="completely positive channel"):
         simulate(five_qubit, transpose_map, PAULI_MATS[0] / 2)
 
 
 def test_oracle_rejects_non_tp(five_qubit):
     not_tp = np.eye(4)
     not_tp[0, 0] = 0.9
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="trace-preserving, completely positive channel"):
         simulate(five_qubit, StokesChannel(not_tp), PAULI_MATS[0] / 2)
 
 
