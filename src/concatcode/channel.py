@@ -147,9 +147,9 @@ def from_pauli_probs(p_x: float, p_y: float, p_z: float) -> DiagonalChannel:
 
 
 def is_valid_channel(channel, tol: float = 1e-10) -> bool:
-    """True iff trace-preserving and the Choi operator is PSD within `tol`."""
+    """True iff finite, trace-preserving and the Choi operator is PSD within `tol`."""
     t = as_stokes(channel)
-    if not t.is_trace_preserving(tol):
+    if not (np.isfinite(t.matrix).all() and t.is_trace_preserving(tol)):
         return False
     eigenvalues = np.linalg.eigvalsh(t.choi())
     return bool(eigenvalues[0] >= -tol)

@@ -176,6 +176,8 @@ def _cmd_codes(args) -> int:
 def _cmd_map(args) -> int:
     code = _resolve_code(args.code)
     payload: dict = {"code": code.name or args.code}
+    if args.symbolic and args.format == "csv":
+        raise ValueError("CSV output cannot carry the symbolic polynomial")
     if args.symbolic:
         if args.channel is not None and not isinstance(
             parse_channel_literal(args.channel), DiagonalChannel
@@ -189,8 +191,6 @@ def _cmd_map(args) -> int:
         with np.errstate(over="ignore", invalid="ignore"):
             record = iterate(code, channel, k_max=args.levels, tol=args.tol)
         if args.format == "csv":
-            if args.symbolic:
-                raise ValueError("CSV output cannot carry the symbolic polynomial")
             header, rows = orbit_rows(record)
             _write(to_csv(header, rows), args.output)
             return 0

@@ -13,13 +13,14 @@ PAULI_MATS = np.array(
     ],
     dtype=complex,
 )
+# entry (2a + c, 2b + d) of the Choi operator is sum_st T[s, t] P_s[a, b] P_t[d, c] / 2
+_CHOI = 0.5 * np.einsum("sab,tdc->acbdst", PAULI_MATS, PAULI_MATS).reshape(16, 16)
 
 
 def choi_matrix(stokes: np.ndarray) -> np.ndarray:
     """Unnormalized Choi operator sum_ij T(|i><j|) (x) |i><j| (4x4), read from
     the process tensor M[a,b,c,d] = T(|c><d|)[a,b] of a Stokes matrix."""
-    m = 0.5 * np.einsum("st,sab,tdc->abcd", stokes, PAULI_MATS, PAULI_MATS)
-    return m.transpose(0, 2, 1, 3).reshape(4, 4)
+    return (_CHOI @ np.ravel(stokes)).reshape(4, 4)
 
 
 def kraus_from_choi(choi: np.ndarray) -> list[np.ndarray]:

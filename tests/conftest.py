@@ -6,6 +6,16 @@ import pytest
 from concatcode import get_code
 from concatcode.pauli import PHASES, eta
 
+# an even-n code whose generators carry Y letters: the Y-basis repetition code
+Y_REPETITION4 = """n 4
+generator YYII
+generator IYYI
+generator IIYY
+logicalX XXXX
+logicalZ YIII
+recovery auto
+"""
+
 
 def spec_text(code, perm=None, generators=None, recovery=None) -> str:
     """Spec text of `code` with qubit q moved to position perm[q] and sign

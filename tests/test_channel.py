@@ -18,7 +18,7 @@ from concatcode import (
     parse_channel_literal,
     random_cptp,
 )
-from concatcode.linalg import PAULI_MATS, stokes_from_kraus
+from concatcode.linalg import PAULI_MATS, choi_matrix, stokes_from_kraus
 
 
 def test_named_families():
@@ -54,6 +54,14 @@ def test_validity():
     not_tp = np.eye(4)
     not_tp[0, 1] = 0.3
     assert not is_valid_channel(StokesChannel(not_tp))
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("entry", [(1, 1), (0, 1)])
+def test_non_finite_matrix_is_not_a_valid_channel(entry, value):
+    m = np.eye(4)
+    m[entry] = value
+    assert not is_valid_channel(StokesChannel(m))
 
 
 def test_tetrahedron_examples():
@@ -109,6 +117,17 @@ def test_kraus_choi_roundtrip():
         t = random_cptp(rng)
         rebuilt = stokes_from_kraus(t.kraus_operators())
         np.testing.assert_allclose(rebuilt, t.matrix, atol=1e-12)
+
+
+def test_choi_matrix_matches_process_tensor():
+    """The constant 16x16 form against the process tensor
+    M[a,b,c,d] = T(|c><d|)[a,b] = sum_st T[s, t] P_s[a, b] P_t[d, c] / 2, on
+    random CPTP channels and arbitrary real 4x4 matrices."""
+    rng = np.random.default_rng(5)
+    for t in [random_cptp(rng).matrix for _ in range(20)] + list(rng.normal(size=(20, 4, 4))):
+        m = 0.5 * np.einsum("st,sab,tdc->abcd", t, PAULI_MATS, PAULI_MATS)
+        expected = m.transpose(0, 2, 1, 3).reshape(4, 4)
+        np.testing.assert_allclose(choi_matrix(t), expected, rtol=0, atol=1e-15)
 
 
 def test_kraus_rejects_non_cp():

@@ -122,6 +122,14 @@ def test_symbolic_rejects_general_channel(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("extra", [[], ["--channel", "depol:0.1"]])
+def test_symbolic_csv_rejected(capsys, extra):
+    code, out, err = run(capsys, "map", "five-qubit", "--symbolic", "--format", "csv", *extra)
+    assert code == 2
+    assert out == ""
+    assert err == "error: CSV output cannot carry the symbolic polynomial\n"
+
+
 def test_orbit_csv_schema(capsys):
     code, out, _ = run(
         capsys, "orbit", "shor", "--channel", "deph:0.2", "--levels", "3",

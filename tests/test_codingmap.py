@@ -47,8 +47,13 @@ from concatcode import (
     random_cptp,
     random_pauli_channel,
 )
-from concatcode.codingmap import compiled_map, trace_preserving_map
-from conftest import spec_text
+from concatcode.codingmap import (
+    GRID_POINTS,
+    RANDOM_DIRECTIONS,
+    compiled_map,
+    trace_preserving_map,
+)
+from conftest import Y_REPETITION4, spec_text
 
 F = Fraction
 
@@ -357,6 +362,65 @@ C_M_HEX = {
 @pytest.mark.parametrize("name, seed", sorted(C_M_HEX))
 def test_c_m_bits_pinned(name, seed):
     assert c_constants(get_code(name), seed).c_m.hex() == C_M_HEX[name, seed]
+
+
+PHASEFLIP3 = """n 3
+generator XXI
+generator IXX
+logicalX XXX
+logicalZ ZZZ
+recovery III
+recovery ZII
+recovery IZI
+recovery IIZ
+"""
+
+
+def reference_c_m(code, seed):
+    """c_M as the maximum over all 23 directions, each evaluated on its own
+    `pow` table: the bits that `c_constants` keeps while it evaluates only
+    the directions its screen cannot rule out."""
+    terms = diagonal_map(code).float_terms
+    coeffs = [np.array([c for c, *_ in component]) for component in terms]
+    ends = np.cumsum([len(component) for component in terms])
+    exps = np.array([e for component in terms for _, *e in component], dtype=np.int64)
+    degrees = [np.flatnonzero(np.bincount(exps[:, v])) for v in range(3)]
+    rng = np.random.default_rng(seed)
+    directions = [np.array(v, dtype=float) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    while len(directions) < 3 + RANDOM_DIRECTIONS:
+        u = rng.uniform(0.0, 1.0, size=3)
+        if u.max() > 1e-9:
+            directions.append(u / u.max())
+
+    eps = np.arange(1, GRID_POINTS + 1, dtype=float) / GRID_POINTS
+    c_m = 0.0
+    table = np.empty((code.n + 1, 3, GRID_POINTS))  # (degree, 3, grid), rows in use only
+    for u in directions:
+        xyz = 1.0 - eps[None, :] * u[:, None]  # (3, grid)
+        for v, used in enumerate(degrees):
+            table[used, v] = xyz[v] ** used[:, None]
+        monomials = table[exps, range(3)].prod(axis=1)  # (mono, grid), all components
+        values = np.array([c @ monomials[end - len(c) : end] for c, end in zip(coeffs, ends)])
+        c_m = max(c_m, float((np.abs(values - 1.0) / eps**2).max()))
+    return c_m
+
+
+# the built-ins at seeds 0-59, where a batched `pow` table moved c_M (at Steane
+# seed 35 the maximum ties on 17 directions), and two spec codes
+C_M_REFERENCE_SEEDS = {name: range(60) for name in builtin_names()}
+C_M_REFERENCE_SEEDS.update({"y-repetition4": range(20), "phaseflip3": range(20)})
+SPEC_CODES = {"y-repetition4": Y_REPETITION4, "phaseflip3": PHASEFLIP3}
+
+
+@pytest.mark.parametrize("name", sorted(C_M_REFERENCE_SEEDS))
+def test_c_m_bits_match_the_all_directions_loop(name):
+    code = parse_code_spec(SPEC_CODES[name]) if name in SPEC_CODES else get_code(name)
+    moved = [
+        seed
+        for seed in C_M_REFERENCE_SEEDS[name]
+        if c_constants(code, seed).c_m.hex() != reference_c_m(code, seed).hex()
+    ]
+    assert moved == []
 
 
 def test_c_m_flags_weak_codes():

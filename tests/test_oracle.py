@@ -31,19 +31,9 @@ from concatcode.linalg import PAULI_MATS
 from concatcode.oracle import _dense_parts, _project, _signed_permutations
 from concatcode.pauli import PHASES, PauliString, eta
 from concatcode.stabilizer import parse_code_spec
-from conftest import pauli_dense
+from conftest import Y_REPETITION4, pauli_dense
 
 DENSE_CODES = ("bitflip3", "five-qubit", "steane")
-
-# an even-n code whose generators carry Y letters: the Y-basis repetition code
-Y_REPETITION4 = """n 4
-generator YYII
-generator IYYI
-generator IIYY
-logicalX XXXX
-logicalZ YIII
-recovery auto
-"""
 
 
 def _reference_simulate(code, channel, rhos):
