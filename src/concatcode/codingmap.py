@@ -378,6 +378,58 @@ GRID_POINTS = 1000
 RANDOM_DIRECTIONS = 20
 
 
+def _directions(rng) -> np.ndarray:
+    """The axes, then 20 uniform triples from `rng` scaled to max 1: one (20, 3)
+    draw whose rows with max <= 1e-9 give way to single draws at the end, so
+    the triples are those of drawing one at a time."""
+    rows = rng.uniform(0.0, 1.0, size=(RANDOM_DIRECTIONS, 3))
+    rows = list(rows[rows.max(axis=1) > 1e-9])
+    while len(rows) < RANDOM_DIRECTIONS:
+        rows += [u for u in [rng.uniform(0.0, 1.0, size=3)] if u.max() > 1e-9]
+    rows = np.array(rows)
+    return np.vstack([np.eye(3), rows / rows.max(axis=1, keepdims=True)])
+
+
+@functools.lru_cache(maxsize=16)
+def _grid(seed: int, n: int) -> tuple[np.ndarray, ...]:
+    """What `c_constants` needs of the seed and n alone, read-only: the 23
+    directions u, the eps grid, the binomials C(a, i) for a, i <= n, the
+    J = C(n+3, 3) triples (i, j, l) of degree <= n as a (3, J) array with
+    (0, 0, 0) first, the one-hot (J, 1, n+1) of their degrees, the (2, 23, J)
+    monomials (-u)^(i, j, l) and their absolute values, and eps^(k-2), k <= n."""
+    directions = _directions(np.random.default_rng(seed))
+    eps = np.arange(1, GRID_POINTS + 1, dtype=float) / GRID_POINTS
+    binom = np.array([[math.comb(a, i) for i in range(n + 1)] for a in range(n + 1)])
+    ijl = np.argwhere(np.indices((n + 1,) * 3).sum(axis=0) <= n).T
+    m = ((-directions)[:, :, None] ** range(n + 1))[:, range(3), ijl.T].prod(axis=2)
+    by_degree = (ijl.sum(axis=0)[:, None, None] == range(n + 1)).astype(float)
+    powers = eps ** (np.arange(n + 1) - 2.0)[:, None]
+    grid = (directions, eps, binom, ijl, by_degree, np.stack([m, abs(m)]), powers)
+    for array in grid:
+        array.setflags(write=False)
+    return grid
+
+
+@per_code
+def _expansion(code: StabilizerCode) -> np.ndarray:
+    """The diagonal map about the identity, exactly: a read-only (3, J) int64
+    array T, component s at (1 - e_x, 1 - e_y, 1 - e_z) being the sum over the
+    triples t = (i, j, l) of `_grid` of T[s, t] / 2^m (-e_x)^i (-e_y)^j (-e_z)^l.
+    As x^a = sum_i C(a, i) (-e_x)^i, T[s, t] sums num C(a, i) C(b, j) C(c, l)
+    over the monomials num / 2^m x^a y^b z^c of component s.  |T| <= c_N 2^n
+    with c_N <= 4^m, so T and T / 2^m are exact while c_N 2^n < 2^53 (to n = 18
+    whatever c_N).  Triples and binomials do not depend on the seed."""
+    binom, ijl = _grid(0, code.n)[2:4]
+    rows = []
+    for component in diagonal_map(code).float_terms:
+        flat = np.array(component).reshape(-1, 4)  # float(num / 2^m) 2^m is num
+        choose = binom[flat[:, 1:, None].astype(np.intp), ijl].prod(axis=1)  # (mono, J)
+        rows.append((flat[:, 0] * (1 << code.m)).astype(np.int64) @ choose)
+    expansion = np.array(rows)
+    expansion.setflags(write=False)
+    return expansion
+
+
 def c_constants(code: StabilizerCode, seed: int = 0) -> CConstants:
     """Compute (c_N, c_M) for a code.
 
@@ -387,7 +439,9 @@ def c_constants(code: StabilizerCode, seed: int = 0) -> CConstants:
     of the three axes plus 20 seeded random directions scaled to max 1.
 
     Only the directions that a screen of all 23 cannot rule out are then
-    evaluated term by term, so c_M keeps the bits of evaluating all 23.
+    evaluated term by term, so c_M keeps the bits of evaluating all 23.  The
+    screen reads `_expansion`, built once per code, and `_grid`, built once per
+    (seed, n).
     """
     # 2^m sum_i |beta_i| = sum_i |f_i|, as beta = f alpha / 2^m with alpha = +-1
     c_n = Fraction(int(np.abs(code.f_matrix()).sum(axis=0).max()))
@@ -397,14 +451,7 @@ def c_constants(code: StabilizerCode, seed: int = 0) -> CConstants:
     ends = np.cumsum([len(component) for component in terms])
     exps = np.array([e for component in terms for _, *e in component], dtype=np.int64)
     degrees = [np.flatnonzero(np.bincount(exps[:, v])) for v in range(3)]
-    rng = np.random.default_rng(seed)
-    directions = [np.array(v, dtype=float) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    while len(directions) < 3 + RANDOM_DIRECTIONS:
-        u = rng.uniform(0.0, 1.0, size=3)
-        if u.max() > 1e-9:
-            directions.append(u / u.max())
-
-    eps = np.arange(1, GRID_POINTS + 1, dtype=float) / GRID_POINTS
+    directions, eps, _, _, by_degree, u_monomials, eps_powers = _grid(seed, code.n)
     table = np.empty((code.n + 1, 3, GRID_POINTS))  # (degree, 3, grid), rows in use only
 
     def grid_max(u):
@@ -415,28 +462,20 @@ def c_constants(code: StabilizerCode, seed: int = 0) -> CConstants:
         values = np.array([c @ monomials[end - len(c) : end] for c, end in zip(coeffs, ends)])
         return float((np.abs(values - 1.0) / eps**2).max())
 
-    # The screen.  x^a = sum_i C(a, i) (-eps u_x)^i, and so for y and z: component
-    # minus 1 is sum T[i, j, l] (-u_x)^i (-u_y)^j (-u_z)^l eps^(i+j+l), T the binomial
-    # transform along the exponent axes of its coefficients (row 0 of `cube`; row 1:
-    # their absolute values and 1).  `poly` sums each direction's terms by degree.
-    size = code.n + 1
-    binom = np.array([[math.comb(a, i) for i in range(size)] for a in range(size)], dtype=float)
-    flat = np.concatenate(coeffs)
-    cube = np.zeros((2, 3, size, size, size))
-    cube[(slice(None), np.repeat(range(3), np.diff(ends, prepend=0)), *exps.T)] = flat, abs(flat)
-    cube[:, :, 0, 0, 0] += [[-1.0], [1.0]]
-    for _ in range(3):
-        cube = np.tensordot(cube, binom, axes=(2, 0))
-    ijl = np.argwhere(np.indices(cube.shape[2:]).sum(axis=0) < size).T  # T is 0 elsewhere
-    m = ((-np.array(directions))[:, :, None] ** range(size))[:, range(3), ijl.T].prod(axis=2)
-    products = np.stack([m, abs(m)])[:, :, None] * cube[(slice(None), slice(None), *ijl)][:, None]
-    poly = (products @ (ijl.sum(axis=0)[:, None] == range(size))).reshape(2, -1, size)
-    # Each side errs by at most (C(n+3, 3) + 4n + 32) unit roundoffs 2^-53 times
-    # its terms' absolute sum: row 1 for the screen; (sum |c| + 1) / eps^2, row 1's
-    # eps^0 term, again for grid_max (x, y, z in [0, 1]).  That is under 1e-13 for
-    # n <= 14 and under 1e-12 to n = 35, so no direction holding c_M is dropped.
-    poly[1, :, 0] *= 2.0
-    screen, slack = poly @ eps ** (np.arange(size) - 2.0)[:, None]
+    # The screen: component minus 1 is sum T[t] / 2^m (-u_x)^i (-u_y)^j (-u_z)^l
+    # eps^(i+j+l) over the triples t, (0, 0, 0) first.  Row 0 of `poly` sums each
+    # direction's terms by degree, row 1 their absolute values.
+    expansion = _expansion(code) / float(1 << code.m)
+    expansion[:, 0] -= 1.0
+    spread = np.stack([expansion, abs(expansion)]).swapaxes(1, 2)[..., None] * by_degree
+    poly = (u_monomials @ spread.reshape(*spread.shape[:2], -1)).reshape(2, -1, code.n + 1)
+    # T is exact, so only the evaluations err: each by at most (C(n+3, 3) + 4n
+    # + 32) unit roundoffs 2^-53 times its terms' absolute sum, row 1 for the
+    # screen and (sum |c| + 1) / eps^2, added to row 1's eps^0 term, for grid_max
+    # (x, y, z in [0, 1]).  That is under 1e-13 for n <= 14 and under 1e-12 to
+    # n = 35, so while T is exact no direction holding c_M is dropped.
+    poly[1, :, 0] += np.tile([np.abs(c).sum() + 1.0 for c in coeffs], len(directions))
+    screen, slack = poly @ eps_powers
     np.abs(screen, out=screen)
     slack += screen
     slack *= 1e-12

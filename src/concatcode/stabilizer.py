@@ -4,7 +4,7 @@ A code is given by its n-1 commuting generators (distance-one logical
 qubit, k=1), the logical X and Z operators, and one recovery operator per
 syndrome.  From these the module derives the stabilizer group, the signed
 recovery/stabilizer correlation table (`f_matrix`), the exact decoding
-coefficient tables, and the brute-forced code parameters d and w.
+coefficient tables, and the code parameters d and w.
 
 Derived data lives in symplectic int64 arrays with one entry per group
 element: a Pauli string i^k X^x Z^z is the triple (x mask, z mask, k) that
@@ -26,7 +26,6 @@ from .pauli import PauliString, eta
 
 SIGMAS = ("I", "X", "Y", "Z")
 
-BRUTE_FORCE_MAX_QUBITS = 12
 MASK_MAX_QUBITS = 63  # x and z masks fit an int64
 
 
@@ -297,38 +296,27 @@ class StabilizerCode:
 
     @per_code
     def distance_and_w(self) -> tuple[int, int]:
-        """Brute-force (d, w) over all 4^n phase-stripped strings.
-
-        d is the minimum Pauli weight over strings that commute with every
-        generator but are not stabilizers (mod phase); w is the minimum
-        weight over non-identity stabilizers.  Bounded to n <= 12.
-        """
-        if self.n > BRUTE_FORCE_MAX_QUBITS:
-            raise CapabilityError(
-                f"brute-force parameter search is limited to n <= "
-                f"{BRUTE_FORCE_MAX_QUBITS}, code has n = {self.n}"
-            )
-        n, size = self.n, 1 << self.n
-        strings = np.arange(size)
-        pop = np.bitwise_count(strings)
-        # syndromes of the pure X strings and of the pure Z strings; x + z
-        # commutes with every generator iff its two parts have equal syndromes
-        syn_x, syn_z = syndromes(self.generators, strings, 0), syndromes(self.generators, 0, strings)
-        member = np.zeros((size, size), dtype=bool)  # [z, x]
+        """(d, w) from the group masks.  w is the least weight of a non-identity
+        stabilizer, 0 when m = 0.  d is the least weight of a string that
+        commutes with every generator and is no stabilizer (mod phase): in a
+        valid [n, 1] code, of the cosets S X_bar, S Y_bar and S Z_bar.  Raises
+        InvalidCodeError, in `validate`'s words, where m != n - 1, a logical
+        anticommutes with a generator, or the logicals commute."""
+        if self.m != self.n - 1:
+            raise InvalidCodeError(f"expected m = n-1 = {self.n - 1} generators, got {self.m}")
         x, z, _ = self.group_arrays()
-        member[z, x] = True
-        best_d = best_w = n + 1
-        rows = max(1, (1 << 20) >> n)  # values of z per chunk of about 2^20 strings
-        for start in range(0, size, rows):
-            z = strings[start : start + rows, None]
-            w = pop[z | strings]
-            commuting = syn_z[z] == syn_x
-            in_group = member[start : start + rows]
-            best_d = min(best_d, int(w[commuting & ~in_group].min(initial=n + 1)))
-            best_w = min(best_w, int(w[in_group & (w > 0)].min(initial=n + 1)))
-        if best_w == n + 1:
-            best_w = 0  # no non-identity stabilizers (trivial m = 0 code)
-        return (best_d, best_w)
+        lx, lz = self.logical_x, self.logical_z
+        anti = syndromes(self.generators, [lx.x_mask, lz.x_mask], [lx.z_mask, lz.z_mask])
+        for label, bits in zip(("logicalX", "logicalZ"), anti.tolist()):
+            if bits:  # its lowest set bit is the first generator it anticommutes with
+                i = (bits & -bits).bit_length() - 1
+                raise InvalidCodeError(f"{label} anticommutes with generator {i}")
+        if eta(lx, lz) != -1:
+            raise InvalidCodeError("logicalX and logicalZ do not anticommute")
+        cx = np.array([lx.x_mask, lx.x_mask ^ lz.x_mask, lz.x_mask])[:, None]
+        cz = np.array([lx.z_mask, lx.z_mask ^ lz.z_mask, lz.z_mask])[:, None]
+        w = int(np.bitwise_count(x | z)[1:].min()) if self.m else 0
+        return int(np.bitwise_count((x ^ cx) | (z ^ cz)).min()), w
 
 
 def auto_recovery(generators: Sequence[PauliString], n: int | None = None) -> list[PauliString]:

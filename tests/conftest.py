@@ -16,6 +16,14 @@ logicalZ YIII
 recovery auto
 """
 
+# a [[13, 1, 5]] cyclic code past any 4^n scan: (d, w) = (5, 4)
+_CYCLIC13 = "IIIZXXYYYYXXZ"
+THIRTEEN_QUBIT = (
+    "n 13\n"
+    + "".join(f"generator {_CYCLIC13[13 - k:]}{_CYCLIC13[:13 - k]}\n" for k in range(12))
+    + f"logicalX {'X' * 13}\nlogicalZ {'Z' * 13}\nrecovery auto\n"
+)
+
 
 def spec_text(code, perm=None, generators=None, recovery=None) -> str:
     """Spec text of `code` with qubit q moved to position perm[q] and sign

@@ -14,6 +14,7 @@ import concatcode
 import concatcode.cli
 import concatcode.dynamics
 from concatcode.cli import main
+from conftest import THIRTEEN_QUBIT
 
 SQRT_2_3 = math.sqrt(2.0 / 3.0)
 
@@ -53,6 +54,16 @@ def test_codes_validate_spec_file(tmp_path, capsys):
     payload = run_json(capsys, "codes", "validate", str(spec))
     assert payload["passed"] is True
     assert payload["d"] == 1 and payload["w"] == 2
+
+
+def test_codes_validate_and_bound_past_thirteen_qubits(tmp_path, capsys):
+    spec = tmp_path / "cyclic13.code"
+    spec.write_text(THIRTEEN_QUBIT)
+    code, out, _ = run(capsys, "codes", "validate", str(spec))
+    assert code == 0
+    assert '"d": 5,' in out and '"w": 4' in out and "note" not in out
+    payload = run_json(capsys, "bound", str(spec))
+    assert payload["c_n"] == 180008 and payload["bounds_guaranteed"] is True
 
 
 def test_codes_validate_failing_spec_exits_one(tmp_path, capsys):

@@ -50,10 +50,13 @@ from concatcode import (
 from concatcode.codingmap import (
     GRID_POINTS,
     RANDOM_DIRECTIONS,
+    _directions,
+    _expansion,
+    _grid,
     compiled_map,
     trace_preserving_map,
 )
-from conftest import Y_REPETITION4, spec_text
+from conftest import THIRTEEN_QUBIT, Y_REPETITION4, spec_text
 
 F = Fraction
 
@@ -421,6 +424,112 @@ def test_c_m_bits_match_the_all_directions_loop(name):
         if c_constants(code, seed).c_m.hex() != reference_c_m(code, seed).hex()
     ]
     assert moved == []
+
+
+def test_c_m_bits_past_thirteen_qubits():
+    code = parse_code_spec(THIRTEEN_QUBIT)
+    assert [c_constants(code, seed).c_m for seed in range(4)] == [
+        reference_c_m(code, seed) for seed in range(4)
+    ]
+
+
+def _sequential_directions(rng):
+    """The axes, then one uniform triple at a time, each with max <= 1e-9
+    dropped, scaled to max 1: the reference for the batched draw."""
+    directions = [np.array(v, dtype=float) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    while len(directions) < 3 + RANDOM_DIRECTIONS:
+        u = rng.uniform(0.0, 1.0, size=3)
+        if u.max() > 1e-9:
+            directions.append(u / u.max())
+    return np.array(directions)
+
+
+def test_cached_directions_match_the_sequential_draws():
+    for seed in range(250):
+        want = _sequential_directions(np.random.default_rng(seed))
+        assert _grid(seed, 5)[0].tobytes() == want.tobytes()
+
+
+class _Stream:
+    """A generator's `uniform` that returns the values of `head` in order."""
+
+    def __init__(self, head):
+        self.values = np.ravel(head)
+
+    def uniform(self, low, high, size):
+        count = math.prod(np.atleast_1d(size))
+        out, self.values = self.values[:count], self.values[count:]
+        return out.reshape(size)
+
+
+def test_directions_drop_draws_with_max_at_most_1e_9():
+    # rows 0 and 5 of the (20, 3) draw and the first single draw after it are dropped
+    real = np.random.default_rng(9).uniform(size=(23, 3))
+    zero, tiny = np.zeros((1, 3)), np.array([[1e-9, 0.0, 1e-10]])
+    head = np.vstack([zero, real[:4], tiny, real[4:18], zero, real[18:]])
+    got = _directions(_Stream(head))
+    assert got.tobytes() == _sequential_directions(_Stream(head)).tobytes()
+    assert got[3:].tobytes() == (real[:20] / real[:20].max(axis=1, keepdims=True)).tobytes()
+
+
+def test_code_independent_arrays_are_read_only(five_qubit):
+    arrays = [*_grid(0, 5), _expansion(five_qubit)]
+    assert not any(array.flags.writeable for array in arrays)
+
+
+def _expansion_parts(code):
+    """Per component, {(i, j, l): Fraction} of `_expansion`."""
+    ijl = _grid(0, code.n)[3]
+    return [
+        {t: F(v, 1 << code.m) for t, v in zip(map(tuple, ijl.T.tolist()), row.tolist())}
+        for row in _expansion(code)
+    ]
+
+
+def _part(parts, degree, u):
+    """The eps^degree coefficient of the component at 1 - eps u."""
+    return sum(
+        v * math.prod(F(-x) ** e for x, e in zip(u, t))
+        for t, v in parts.items()
+        if sum(t) == degree
+    )
+
+
+@pytest.mark.parametrize("name", sorted(builtin_names()) + ["thirteen-qubit"])
+def test_expansion_about_the_identity_is_exact(name):
+    code = parse_code_spec(THIRTEEN_QUBIT) if name == "thirteen-qubit" else get_code(name)
+    poly = diagonal_map(code)
+    for sigma, parts in zip("XYZ", _expansion_parts(code)):
+        want = dict.fromkeys(parts, F(0))
+        for m in poly.components[sigma]:
+            for t in itertools.product(range(m.a + 1), range(m.b + 1), range(m.c + 1)):
+                want[t] += m.coeff * math.prod(map(math.comb, (m.a, m.b, m.c), t))
+        assert parts == want
+        assert _part(parts, 0, (1, 1, 1)) == 1
+
+
+AXES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+# P_2(1, 1, 1) per component X, Y, Z; the largest magnitude is the limit of
+# max |component - 1| / eps^2 as eps -> 0 along u = (1, 1, 1)
+QUADRATIC_PARTS = {
+    "five-qubit": (F(-15, 2), F(-15, 2), F(-15, 2)),
+    "steane": (F(-21, 2), F(-63, 4), F(-21, 2)),
+    "shor": (F(-27, 2), F(-18), F(-9, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUADRATIC_PARTS))
+def test_expansion_low_degree_parts(name):
+    parts = _expansion_parts(get_code(name))
+    assert all(_part(p, 1, u) == 0 for p in parts for u in AXES)
+    assert tuple(_part(p, 2, (1, 1, 1)) for p in parts) == QUADRATIC_PARTS[name]
+
+
+def test_bitflip3_first_order_part_is_criterion_5s_factor_3(bitflip3):
+    x, y, z = _expansion_parts(bitflip3)
+    assert [_part(x, 1, u) for u in AXES] == [-3, 0, 0]
+    assert [_part(y, 1, u) for u in AXES] == [-3, 0, 0]
+    assert [_part(z, 1, u) for u in AXES] == [0, 0, 0]
 
 
 def test_c_m_flags_weak_codes():

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from concatcode import (
-    CapabilityError,
     InvalidCodeError,
     PauliString,
     StabilizerCode,
@@ -23,7 +22,7 @@ from concatcode import (
 )
 from concatcode.pauli import eta
 from concatcode.stabilizer import CodeSpecError, syndromes
-from conftest import spec_text, syndrome
+from conftest import THIRTEEN_QUBIT, spec_text, syndrome
 
 P = PauliString.parse
 
@@ -42,6 +41,19 @@ for _a, _b, _c in [
 _CODE = {"I": 0, "X": 1, "Y": 2, "Z": 3}
 
 
+def _stabilizer_words(generator_words: list[str]) -> set[str]:
+    """The group's words, phases dropped, by letterwise products."""
+    n = len(generator_words[0])
+    frontier = ["I" * n]
+    for word in generator_words:
+        frontier = frontier + [
+            "".join(_MUL[(a, b)] for a, b in zip(s, word)) for s in frontier
+        ]
+    stabilizer_words = set(frontier)
+    assert len(stabilizer_words) == 2 ** len(generator_words)
+    return stabilizer_words
+
+
 def _naive_distance_w(generator_words: list[str], n: int) -> tuple[int, int]:
     digits = (np.arange(4**n, dtype=np.int64)[:, None] // 4 ** np.arange(n)[None, :]) % 4
     weight = (digits != 0).sum(axis=1)
@@ -52,14 +64,7 @@ def _naive_distance_w(generator_words: list[str], n: int) -> tuple[int, int]:
         anti = (digits != 0) & (g[None, :] != 0) & (digits != g[None, :])
         commuting &= anti.sum(axis=1) % 2 == 0
 
-    stabilizer_words = {"I" * n}
-    frontier = ["I" * n]
-    for word in generator_words:
-        frontier = frontier + [
-            "".join(_MUL[(a, b)] for a, b in zip(s, word)) for s in frontier
-        ]
-    stabilizer_words = set(frontier)
-    assert len(stabilizer_words) == 2 ** len(generator_words)
+    stabilizer_words = _stabilizer_words(generator_words)
     stab_idx = np.array(
         [sum(_CODE[c] * 4**j for j, c in enumerate(w)) for w in stabilizer_words]
     )
@@ -97,15 +102,71 @@ def test_all_listed_codes_meet_convergence_prerequisites():
         assert d >= 3 and w >= 2
 
 
-def test_brute_force_bound():
+def test_distance_and_w_of_a_13_qubit_chain():
     n = 13
     gens = [
         PauliString.single(n, i, "Z") * PauliString.single(n, i + 1, "Z")
         for i in range(n - 1)
     ]
     code = StabilizerCode(n, gens, P("X" * n), PauliString.single(n, 0, "Z"), [])
-    with pytest.raises(CapabilityError):
+    assert code.distance_and_w() == (1, 2)
+
+
+def test_distance_can_come_from_the_y_bar_coset():
+    # with logicals XXX and YYY the weight-1 logicals ZII, IZI, IIZ lie in S Y_bar
+    code = StabilizerCode(3, [P("ZZI"), P("IZZ")], P("XXX"), P("YYY"), [])
+    assert code.distance_and_w() == _naive_distance_w(["ZZI", "IZZ"], 3) == (1, 2)
+
+
+def _words_up_to(n: int, weight: int) -> np.ndarray:
+    """Every non-identity word of at most `weight` letters, as letter codes."""
+    rows = []
+    for w in range(1, weight + 1):
+        for positions in itertools.combinations(range(n), w):
+            block = np.zeros((3**w, n), dtype=np.int8)
+            block[:, positions] = list(itertools.product((1, 2, 3), repeat=w))
+            rows.append(block)
+    return np.concatenate(rows)
+
+
+def test_distance_and_w_of_the_13_qubit_code():
+    code = parse_code_spec(THIRTEEN_QUBIT)
+    assert code.validate().passed
+    assert code.distance_and_w() == (5, 4)
+    # independently: of the 66,378 words of weight <= 4 only 13 commute with
+    # every generator, all stabilizers, and some word of weight 5 is a logical
+    words = [g.letters for g in code.generators]
+    letters = _words_up_to(code.n, 5)
+    commuting = np.ones(len(letters), dtype=bool)
+    for word in words:
+        g = np.array([_CODE[c] for c in word])
+        anti = (letters != 0) & (g != 0) & (letters != g)
+        commuting &= anti.sum(axis=1) % 2 == 0
+    weight = (letters != 0).sum(axis=1)
+    stabilizers = {tuple(_CODE[c] for c in w) for w in _stabilizer_words(words)}
+    assert (weight <= 4).sum() == 66378
+    low = [tuple(row) for row in letters[commuting & (weight <= 4)].tolist()]
+    assert len(low) == 13 and all(row in stabilizers for row in low)
+    five = [tuple(row) for row in letters[commuting & (weight == 5)].tolist()]
+    assert any(row not in stabilizers for row in five)
+
+
+@pytest.mark.parametrize(
+    "generators, lx, lz, message",
+    [
+        (["ZZI"], "XXI", "ZIZ", "expected m = n-1 = 2 generators, got 1"),
+        (["ZZI", "IZZ"], "XII", "ZZZ", "logicalX anticommutes with generator 0"),
+        (["ZZI", "IZZ"], "XXX", "IXI", "logicalZ anticommutes with generator 0"),
+        (["ZZI", "IZZ"], "XXX", "XXX", "logicalX and logicalZ do not anticommute"),
+    ],
+)
+def test_distance_and_w_rejects_what_is_no_valid_code(generators, lx, lz, message):
+    # ZZI with XXI / ZIZ: the cosets of the logicals give 2, but IIX commutes
+    # with ZZI and is no stabilizer, so d would be 1
+    code = StabilizerCode(3, [P(g) for g in generators], P(lx), P(lz), [])
+    with pytest.raises(InvalidCodeError, match=message):
         code.distance_and_w()
+    assert message in code.validate().violations
 
 
 # -- validation -------------------------------------------------------------------
