@@ -163,12 +163,7 @@ def _cmd_codes(args) -> int:
         "violations": list(report.violations),
     }
     if report.passed:
-        try:
-            d, w = code.distance_and_w()
-            payload["d"], payload["w"] = d, w
-        except CapabilityError as exc:
-            payload["d"] = payload["w"] = None
-            payload["note"] = str(exc)
+        payload["d"], payload["w"] = code.distance_and_w()
     _write(canonical_json(payload), args.output)
     return 0 if report.passed else 1
 

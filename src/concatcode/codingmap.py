@@ -411,6 +411,22 @@ def _grid(seed: int, n: int) -> tuple[np.ndarray, ...]:
 
 
 @per_code
+def _terms(code: StabilizerCode) -> tuple:
+    """`diagonal_map`'s float terms, read-only: per component the coefficients,
+    the running term counts, all (terms, 3) exponents, per variable the
+    exponents in use, and per component 1 + the coefficients' absolute sum."""
+    terms = diagonal_map(code).float_terms
+    coeffs = tuple(np.array([c for c, *_ in component]) for component in terms)
+    ends = np.cumsum([len(c) for c in coeffs])
+    exps = np.array([e for component in terms for _, *e in component], dtype=np.int64)
+    degrees = tuple(np.flatnonzero(np.bincount(exps[:, v])) for v in range(3))
+    sums = np.array([np.abs(c).sum() + 1.0 for c in coeffs])
+    for array in (*coeffs, ends, exps, *degrees, sums):
+        array.setflags(write=False)
+    return coeffs, ends, exps, degrees, sums
+
+
+@per_code
 def _expansion(code: StabilizerCode) -> np.ndarray:
     """The diagonal map about the identity, exactly: a read-only (3, J) int64
     array T, component s at (1 - e_x, 1 - e_y, 1 - e_z) being the sum over the
@@ -420,12 +436,10 @@ def _expansion(code: StabilizerCode) -> np.ndarray:
     with c_N <= 4^m, so T and T / 2^m are exact while c_N 2^n < 2^53 (to n = 18
     whatever c_N).  Triples and binomials do not depend on the seed."""
     binom, ijl = _grid(0, code.n)[2:4]
-    rows = []
-    for component in diagonal_map(code).float_terms:
-        flat = np.array(component).reshape(-1, 4)  # float(num / 2^m) 2^m is num
-        choose = binom[flat[:, 1:, None].astype(np.intp), ijl].prod(axis=1)  # (mono, J)
-        rows.append((flat[:, 0] * (1 << code.m)).astype(np.int64) @ choose)
-    expansion = np.array(rows)
+    coeffs, ends, exps, _, _ = _terms(code)
+    choose = binom[exps[:, :, None], ijl].prod(axis=1)  # (terms, J)
+    nums = [(c * (1 << code.m)).astype(np.int64) for c in coeffs]  # float(num / 2^m) 2^m is num
+    expansion = np.array([num @ choose[end - len(num) : end] for num, end in zip(nums, ends)])
     expansion.setflags(write=False)
     return expansion
 
@@ -440,17 +454,13 @@ def c_constants(code: StabilizerCode, seed: int = 0) -> CConstants:
 
     Only the directions that a screen of all 23 cannot rule out are then
     evaluated term by term, so c_M keeps the bits of evaluating all 23.  The
-    screen reads `_expansion`, built once per code, and `_grid`, built once per
-    (seed, n).
+    screen reads `_expansion` and `_terms`, built once per code, and `_grid`,
+    built once per (seed, n).
     """
     # 2^m sum_i |beta_i| = sum_i |f_i|, as beta = f alpha / 2^m with alpha = +-1
     c_n = Fraction(int(np.abs(code.f_matrix()).sum(axis=0).max()))
 
-    terms = diagonal_map(code).float_terms
-    coeffs = [np.array([c for c, *_ in component]) for component in terms]
-    ends = np.cumsum([len(component) for component in terms])
-    exps = np.array([e for component in terms for _, *e in component], dtype=np.int64)
-    degrees = [np.flatnonzero(np.bincount(exps[:, v])) for v in range(3)]
+    coeffs, ends, exps, degrees, sums = _terms(code)
     directions, eps, _, _, by_degree, u_monomials, eps_powers = _grid(seed, code.n)
     table = np.empty((code.n + 1, 3, GRID_POINTS))  # (degree, 3, grid), rows in use only
 
@@ -474,7 +484,7 @@ def c_constants(code: StabilizerCode, seed: int = 0) -> CConstants:
     # screen and (sum |c| + 1) / eps^2, added to row 1's eps^0 term, for grid_max
     # (x, y, z in [0, 1]).  That is under 1e-13 for n <= 14 and under 1e-12 to
     # n = 35, so while T is exact no direction holding c_M is dropped.
-    poly[1, :, 0] += np.tile([np.abs(c).sum() + 1.0 for c in coeffs], len(directions))
+    poly[1, :, 0] += np.tile(sums, len(directions))
     screen, slack = poly @ eps_powers
     np.abs(screen, out=screen)
     slack += screen

@@ -93,21 +93,19 @@ def _per_qubit(single: np.ndarray, data: np.ndarray, n: int) -> np.ndarray:
 @per_code
 def _dense_parts(code: StabilizerCode) -> _DenseParts:
     n, m, dim = code.n, code.m, 1 << code.n
-    # the generators, then Z_bar, then X_bar
+    # R_j for all j, which validates the code; then the generators, Z_bar and X_bar
+    rows, signs = _signed_permutations(code.recovery_by_syndrome(), n)
     columns, factors = _signed_permutations([*code.generators, code.logical_z, code.logical_x], n)
 
-    # P_C (I + Z_bar)/2 as one projection: its factors commute and every entry is dyadic
+    # P_C (I + Z_bar)/2, of rank 1, as one projection: its factors commute, entries are dyadic
     plus_z = _project(columns[: m + 1], factors[: m + 1], np.eye(dim), 0)
     norms = np.linalg.norm(plus_z, axis=0)
-    nonzero = np.nonzero(norms > 1e-8)[0]
-    if len(nonzero) == 0:
-        raise ValueError("codespace projector is zero; the code is invalid")
-    ket0 = plus_z[:, nonzero[0]] / norms[nonzero[0]]
+    first = np.flatnonzero(norms > 1e-8)[0]
+    ket0 = plus_z[:, first] / norms[first]
     ket1 = factors[m + 1] * ket0[columns[m + 1]]
     encoder = np.stack([ket0, ket1], axis=1)
 
     # R_j^dag E for all j: row r of R^dag is conj(factors[columns[r]]) times row columns[r]
-    rows, signs = _signed_permutations(code.recovery_by_syndrome(), n)
     count = len(rows)
     stack = np.take_along_axis(signs, rows, axis=1).conj()[..., None] * encoder[rows]
 

@@ -99,8 +99,9 @@ class StabilizerCode:
 
     Instances are immutable after construction; derived data (group,
     f-matrix, coefficients, code parameters) is computed lazily and
-    cached.  Use :meth:`validate` to obtain a report instead of an
-    exception for codes of unknown quality.
+    cached.  :meth:`validate` alone decides validity and reports every
+    violation; derived data but the group, which `validate` itself builds,
+    raises the first that concerns it as InvalidCodeError.
     """
 
     def __init__(
@@ -136,7 +137,14 @@ class StabilizerCode:
     # -- validation ------------------------------------------------------
 
     def validate(self) -> ValidationReport:
-        """Check every structural invariant and report all violations found."""
+        """Check every structural invariant and report all violations found:
+        the code's, then its recovery operators'."""
+        bad = self._code_violations() + self._recovery_violations()
+        return ValidationReport(passed=not bad, violations=bad)
+
+    @per_code
+    def _code_violations(self) -> tuple[str, ...]:
+        """Those of `validate` that make this no [n, 1] code, recoveries aside."""
         bad: list[str] = []
         if self.m != self.n - 1:
             bad.append(f"expected m = n-1 = {self.n - 1} generators, got {self.m}")
@@ -156,18 +164,21 @@ class StabilizerCode:
                     bad.append(f"{label} anticommutes with generator {i}")
         if eta(self.logical_x, self.logical_z) != -1:
             bad.append("logicalX and logicalZ do not anticommute")
+        return tuple(bad)
+
+    @per_code
+    def _recovery_violations(self) -> tuple[str, ...]:
+        """Those of `validate` that keep the recoveries from being one per syndrome."""
         if len(self.recovery) != 1 << self.m:
-            bad.append(f"expected {1 << self.m} recovery operators, got {len(self.recovery)}")
-        else:
-            syndromes: dict[int, int] = {}
-            for j, s in enumerate(self.recovery_syndromes().tolist()):
-                if s in syndromes:
-                    bad.append(
-                        f"recovery operators {syndromes[s]} and {j} share syndrome {s:#x}"
-                    )
-                else:
-                    syndromes[s] = j
-        return ValidationReport(passed=not bad, violations=tuple(bad))
+            return (f"expected {1 << self.m} recovery operators, got {len(self.recovery)}",)
+        bad: list[str] = []
+        syndromes: dict[int, int] = {}
+        for j, s in enumerate(self.recovery_syndromes().tolist()):
+            if s in syndromes:
+                bad.append(f"recovery operators {syndromes[s]} and {j} share syndrome {s:#x}")
+            else:
+                syndromes[s] = j
+        return tuple(bad)
 
     # -- group and syndrome machinery -------------------------------------
 
@@ -228,15 +239,11 @@ class StabilizerCode:
 
     @per_code
     def recovery_by_syndrome(self) -> tuple[PauliString, ...]:
-        """Recovery operators re-indexed by their computed syndrome."""
-        table: list[PauliString | None] = [None] * (1 << self.m)
-        for r, s in zip(self.recovery, self.recovery_syndromes().tolist()):
-            if table[s] is not None:
-                raise InvalidCodeError(f"two recovery operators share syndrome {s:#x}")
-            table[s] = r
-        if any(r is None for r in table):
-            raise InvalidCodeError("recovery operators do not cover all syndromes")
-        return tuple(table)  # type: ignore[arg-type]
+        """Recovery operators re-indexed by their computed syndrome; raises
+        `validate`'s first violation on an invalid code."""
+        if bad := self._code_violations() + self._recovery_violations():
+            raise InvalidCodeError(bad[0])
+        return tuple(self.recovery[j] for j in np.argsort(self.recovery_syndromes()).tolist())
 
     def logical(self, sigma: str) -> PauliString:
         """Logical counterpart of a Pauli letter; logical Y is i * X * Z."""
@@ -276,18 +283,14 @@ class StabilizerCode:
         hermitian sign alpha, and the exact decoding weight beta = f * alpha / 2^m
         as its numerator over 2^m.
         """
+        f = self.f_matrix()[:, SIGMAS.index(sigma)]  # validates the code
         lg = self.logical(sigma)
         sx, sz, sk = self.group_arrays()
         x, z = sx ^ lg.x_mask, sz ^ lg.z_mask
         k = sk + lg._k + 2 * np.bitwise_count(sz & lg.x_mask).astype(np.int64)
-        exponent = (k - np.bitwise_count(x & z)) % 4  # of the displayed prefactor i^p
-        odd = np.flatnonzero(exponent % 2)
-        if len(odd):
-            i = odd[0]
-            prod = PauliString._raw(self.n, int(x[i]), int(z[i]), int(k[i]))
-            raise InvalidCodeError(f"product {prod} is not hermitian")
-        alpha = 1 - exponent  # p = 0 or 2
-        beta = alpha * self.f_matrix()[:, SIGMAS.index(sigma)]
+        # commuting hermitian factors: the displayed prefactor i^p has p = 0 or 2
+        alpha = 1 - (k - np.bitwise_count(x & z)) % 4
+        beta = alpha * f
         for array in (x, z, alpha, beta):
             array.setflags(write=False)
         return CoefficientTable(x, z, alpha, beta)
@@ -300,19 +303,11 @@ class StabilizerCode:
         stabilizer, 0 when m = 0.  d is the least weight of a string that
         commutes with every generator and is no stabilizer (mod phase): in a
         valid [n, 1] code, of the cosets S X_bar, S Y_bar and S Z_bar.  Raises
-        InvalidCodeError, in `validate`'s words, where m != n - 1, a logical
-        anticommutes with a generator, or the logicals commute."""
-        if self.m != self.n - 1:
-            raise InvalidCodeError(f"expected m = n-1 = {self.n - 1} generators, got {self.m}")
+        the first of `validate`'s violations that is not the recoveries'."""
+        if bad := self._code_violations():
+            raise InvalidCodeError(bad[0])
         x, z, _ = self.group_arrays()
         lx, lz = self.logical_x, self.logical_z
-        anti = syndromes(self.generators, [lx.x_mask, lz.x_mask], [lx.z_mask, lz.z_mask])
-        for label, bits in zip(("logicalX", "logicalZ"), anti.tolist()):
-            if bits:  # its lowest set bit is the first generator it anticommutes with
-                i = (bits & -bits).bit_length() - 1
-                raise InvalidCodeError(f"{label} anticommutes with generator {i}")
-        if eta(lx, lz) != -1:
-            raise InvalidCodeError("logicalX and logicalZ do not anticommute")
         cx = np.array([lx.x_mask, lx.x_mask ^ lz.x_mask, lz.x_mask])[:, None]
         cz = np.array([lx.z_mask, lx.z_mask ^ lz.z_mask, lz.z_mask])[:, None]
         w = int(np.bitwise_count(x | z)[1:].min()) if self.m else 0

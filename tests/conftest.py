@@ -25,6 +25,28 @@ THIRTEEN_QUBIT = (
 )
 
 
+# one spec per kind of invalid code, each with its one `validate` violation
+DEFECT_SPECS = {
+    "generator-count": (
+        "n 3\ngenerator ZZI\nlogicalX XXX\nlogicalZ ZZZ\nrecovery III\nrecovery XII\n",
+        "expected m = n-1 = 2 generators, got 1",
+    ),
+    "anticommuting-logical": (
+        "n 3\ngenerator ZZI\ngenerator IZZ\nlogicalX XII\nlogicalZ ZZZ\nrecovery auto\n",
+        "logicalX anticommutes with generator 0",
+    ),
+    "non-hermitian-logical": (
+        "n 3\ngenerator ZZI\ngenerator IZZ\nlogicalX iXXX\nlogicalZ ZZZ\nrecovery auto\n",
+        "logicalX is not hermitian",
+    ),
+    "shared-syndrome": (
+        "n 3\ngenerator ZZI\ngenerator IZZ\nlogicalX XXX\nlogicalZ ZZZ\n"
+        + "".join(f"recovery {r}\n" for r in ("III", "XII", "XII", "IIX")),
+        "recovery operators 1 and 2 share syndrome 0x1",
+    ),
+}
+
+
 def spec_text(code, perm=None, generators=None, recovery=None) -> str:
     """Spec text of `code` with qubit q moved to position perm[q] and sign
     prefixes kept.  `generators` and `recovery` replace the code's own

@@ -14,7 +14,8 @@ import concatcode
 import concatcode.cli
 import concatcode.dynamics
 from concatcode.cli import main
-from conftest import THIRTEEN_QUBIT
+from concatcode.stabilizer import parse_code_spec
+from conftest import DEFECT_SPECS, THIRTEEN_QUBIT
 
 SQRT_2_3 = math.sqrt(2.0 / 3.0)
 
@@ -74,6 +75,48 @@ def test_codes_validate_failing_spec_exits_one(tmp_path, capsys):
     code, out, err = run(capsys, "codes", "validate", str(spec))
     assert code == 1
     assert json.loads(out)["passed"] is False
+
+
+STOKES_LITERAL = "stokes:1,0,0,0,0,0.9,0,0,0,0,0.9,0,0,0,0,0.9"
+
+# the minimal arguments of every command that derives data from a code, "{}"
+# standing for the code; each form that reaches the code by its own path
+DERIVING_INVOCATIONS = {
+    "map": [
+        ["{}", "--symbolic"],
+        ["{}", "--channel", "depol:0.1"],
+        ["{}", "--channel", STOKES_LITERAL],
+    ],
+    "orbit": [["{}", "--channel", "depol:0.1"], ["{}", "--channel", STOKES_LITERAL]],
+    "threshold": [["{}", "--ray", "depol"]],
+    "jacobian": [["{}"], ["{}", "--full"]],
+    "oracle": [["check", "{}"]],
+    "bound": [["{}"]],
+}
+
+
+@pytest.mark.parametrize("defect", sorted(DEFECT_SPECS))
+@pytest.mark.parametrize("command", sorted(set(concatcode.cli._HANDLERS) - {"codes"}))
+def test_every_command_rejects_an_invalid_code(tmp_path, capsys, command, defect):
+    assert command in DERIVING_INVOCATIONS, f"list the minimal arguments of {command!r}"
+    text, violation = DEFECT_SPECS[defect]
+    spec = tmp_path / f"{defect}.code"
+    spec.write_text(text)
+    for args in DERIVING_INVOCATIONS[command]:
+        argv = [command] + [str(spec) if a == "{}" else a for a in args]
+        assert run(capsys, *argv) == (2, "", f"error: {violation}\n"), argv
+
+
+@pytest.mark.parametrize("defect", sorted(DEFECT_SPECS))
+def test_codes_validate_reports_every_violation_of_an_invalid_code(tmp_path, capsys, defect):
+    text, _ = DEFECT_SPECS[defect]
+    spec = tmp_path / f"{defect}.code"
+    spec.write_text(text)
+    code, out, err = run(capsys, "codes", "validate", str(spec))
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    assert payload["violations"] == list(parse_code_spec(text).validate().violations)
 
 
 def test_parse_error_exits_two(tmp_path, capsys):

@@ -53,6 +53,7 @@ from concatcode.codingmap import (
     _directions,
     _expansion,
     _grid,
+    _terms,
     compiled_map,
     trace_preserving_map,
 )
@@ -475,6 +476,18 @@ def test_directions_drop_draws_with_max_at_most_1e_9():
 def test_code_independent_arrays_are_read_only(five_qubit):
     arrays = [*_grid(0, 5), _expansion(five_qubit)]
     assert not any(array.flags.writeable for array in arrays)
+
+
+def test_per_code_terms_are_the_float_terms_built_once(shor):
+    coeffs, ends, exps, degrees, sums = _terms(shor)
+    terms = diagonal_map(shor).float_terms
+    assert [c.tolist() for c in coeffs] == [[t[0] for t in component] for component in terms]
+    assert ends.tolist() == list(itertools.accumulate(map(len, terms)))
+    assert exps.tolist() == [list(t[1:]) for component in terms for t in component]
+    assert [d.tolist() for d in degrees] == [sorted(set(column)) for column in zip(*exps.tolist())]
+    assert sums.tolist() == [math.fsum(map(abs, c.tolist())) + 1.0 for c in coeffs]
+    assert not any(array.flags.writeable for array in (*coeffs, ends, exps, *degrees, sums))
+    assert _terms(shor) is _terms(shor)
 
 
 def _expansion_parts(code):

@@ -20,9 +20,12 @@ from concatcode import (
     get_code,
     parse_code_spec,
 )
+from concatcode.channel import StokesChannel, depolarizing
+from concatcode.codingmap import c_constants, diagonal_map, general_map, general_map_exact
+from concatcode.oracle import extract_stokes
 from concatcode.pauli import eta
 from concatcode.stabilizer import CodeSpecError, syndromes
-from conftest import THIRTEEN_QUBIT, spec_text, syndrome
+from conftest import DEFECT_SPECS, THIRTEEN_QUBIT, spec_text, syndrome
 
 P = PauliString.parse
 
@@ -234,8 +237,44 @@ def test_syndrome_collision_reported():
     )
     report = code.validate()
     assert any("share syndrome" in v for v in report.violations)
-    with pytest.raises(InvalidCodeError):
+    with pytest.raises(InvalidCodeError, match="^recovery operators 1 and 2 share syndrome 0x1$"):
         code.recovery_by_syndrome()
+
+
+_NOT_TRACE_PRESERVING = np.diag([1.0, 0.9, 0.9, 0.9])
+_NOT_TRACE_PRESERVING[0, 1] = 0.1
+
+# every derived quantity that depends on the recoveries
+_DERIVED = {
+    "recovery_by_syndrome": lambda code: code.recovery_by_syndrome(),
+    "diagonal_map": diagonal_map,
+    "general_map": lambda code: general_map(code, StokesChannel(np.eye(4))),
+    "general_map (not trace-preserving)": lambda code: general_map(
+        code, StokesChannel(_NOT_TRACE_PRESERVING)
+    ),
+    "general_map_exact": lambda code: general_map_exact(code, np.eye(4, dtype=int).tolist()),
+    "c_constants": c_constants,
+    "extract_stokes": lambda code: extract_stokes(code, depolarizing(0.1)),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(DEFECT_SPECS))
+def test_derived_quantities_raise_the_first_violation(defect):
+    text, violation = DEFECT_SPECS[defect]
+    assert parse_code_spec(text).validate().violations == (violation,)
+    for label, derive in _DERIVED.items():
+        code = parse_code_spec(text)  # fresh, so that no cached table hides the gate
+        with pytest.raises(InvalidCodeError) as info:
+            derive(code)
+        assert str(info.value) == violation, label
+    # (d, w) does not depend on the recoveries
+    code = parse_code_spec(text)
+    if defect == "shared-syndrome":
+        assert code.distance_and_w() == (1, 2)
+    else:
+        with pytest.raises(InvalidCodeError) as info:
+            code.distance_and_w()
+        assert str(info.value) == violation
 
 
 # -- group enumeration -------------------------------------------------------------
