@@ -10,9 +10,9 @@ alpha and weight numerators over 2^m, read by popcounts and bit shifts:
 * `compiled_map` holds every entry of the full 4x4 image as merged
   monomials in the 16 input entries: the sum over stabilizer pairs;
   `trace_preserving_map` only those free of row 0 off the diagonal, from
-  the quarter or so of the pairs that form them.  `general_map` evaluates
-  the latter on inputs whose row 0 is (1, 0, 0, 0), the former on others,
-  at O(n) per monomial; `general_map_exact` the former in exact rationals;
+  the pairs that form them alone.  `general_map` evaluates the latter on
+  inputs whose row 0 is (1, 0, 0, 0), the former on others, at O(n) per
+  monomial; `general_map_exact` the former in exact rationals;
 * `diagonal_map` holds the exact multivariate polynomials of the three
   diagonal components: the part of that pair sum where both members of
   the pair are the same row.  Diagonal inputs stay diagonal, so these
@@ -255,17 +255,30 @@ def _reduce(keys, nums, kind=None):
     return keys[starts], np.minimum.reduceat(order, starts), np.add.reduceat(nums[order], starts)
 
 
+def _packed_reduce(keys, positions, nums, bits):
+    """`_reduce` of the keys at distinct `positions`, by one value sort of
+    key << bits | position in uint64: the distinct keys in ascending order,
+    the least position of each and the sums of `nums[position]`.  Keys must be
+    below 2^(64 - bits) and positions below 2^bits."""
+    packed = np.sort(keys.astype(np.uint64) << bits | positions.astype(np.uint64))
+    keys, positions = packed >> bits, (packed & ((1 << bits) - 1)).astype(np.int64)
+    starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    return keys[starts], positions[starts], np.add.reduceat(nums[positions], starts)
+
+
 def _merge(code: StabilizerCode, tp: bool) -> CompiledMap:
     """Entry (s, t) of the image sums beta[s]_j * alpha[t]_i over stabilizer
     pairs (j, i), times the product of input entries along the letter
     patterns of |S_j s_bar| and |S_i t_bar|.  That product depends only on
     how often each (row letter, column letter) pair occurs, so pairs with
     equal count vectors merge exactly, each monomial keeping its first pair:
-    per row letter s, one sort per block of about 8192 pairs for all four t.
+    per row letter s, one sort per block of whole rows for all four t, then
+    one stable sort of the blocks' sorted runs.
 
     With `tp`, only pairs whose column letter is I wherever the row letter
-    is I take part, filtered before their keys are formed: the pairs of the
-    monomials free of T_01, T_02, T_03.
+    is I take part, the pairs of the monomials free of T_01, T_02, T_03: their
+    keys, whose digits 0-2 are then 0, are gathered at those pairs alone and
+    merged by one value sort, each packed above its pair's position.
     """
     n, size, base = code.n, 1 << code.m, code.n + 1
     if base**16 > np.iinfo(np.int64).max:
@@ -284,7 +297,10 @@ def _merge(code: StabilizerCode, tp: bool) -> CompiledMap:
     col_high = np.vstack([col_power, np.repeat(np.arange(4.0) * base**12, size)])
     col_support = np.concatenate([t.x | t.z for t in tables])
     alpha = np.concatenate([t.alpha for t in tables])
-    step = max(1, 8192 // (4 * size))  # rows per block
+    # With tp a key is its digits 3-15, below 4 (n+1)^12, and a pair's position in
+    # its block gets the bits left of 64: a row of 4 size = 2^(n+1) pairs fits to n = 14
+    bits = 64 - (4 * base**12 - 1).bit_length()
+    step = max(1, (min(16384, 1 << bits) if tp else 8192) // (4 * size))  # rows per block
     entries, factors, numerators = [], [], []
     for r, table in enumerate(tables):
         row_letters = columns[r * size : (r + 1) * size]
@@ -294,14 +310,17 @@ def _merge(code: StabilizerCode, tp: bool) -> CompiledMap:
         support, live, runs = table.x | table.z, np.flatnonzero(table.beta), []
         for k in range(0, len(live), step):
             rows = live[k : k + step]
-            low, high = row_low[rows] @ col_low, row_high[rows] @ col_high
-            nums = np.outer(table.beta[rows], alpha)
-            keep = (col_support & ~support[rows, None]) == 0 if tp else slice(None)
-            low, high, nums = low[keep].ravel(), high[keep].ravel(), nums[keep].ravel()
-            keys = high.astype(np.int64) * base**3 + low.astype(np.int64)
-            keys, first, nums = _reduce(keys, nums)
+            high = (row_high[rows] @ col_high).ravel()
+            nums = np.outer(table.beta[rows], alpha).ravel()
+            if tp:
+                kept = np.flatnonzero((col_support & ~support[rows, None]) == 0)
+                keys, first, nums = _packed_reduce(high[kept], kept, nums, bits)
+            else:
+                low = (row_low[rows] @ col_low).ravel()
+                keys = high.astype(np.int64) * base**3 + low.astype(np.int64)
+                keys, first, nums = _reduce(keys, nums)
             # pair 4 size k' + c: live row k', column c
-            runs.append((keys, 4 * size * k + (np.flatnonzero(keep)[first] if tp else first), nums))
+            runs.append((keys, 4 * size * k + first, nums))
         keys, pairs, nums = map(np.concatenate, zip(*runs))
         _, first, nums = _reduce(keys, nums, "stable")  # a stable sort merges sorted runs
         j, c = np.divmod(pairs[first][nums != 0], 4 * size)

@@ -154,7 +154,7 @@ class StabilizerCode:
         if not bad:
             try:
                 self.group_arrays()
-            except InvalidCodeError as exc:
+            except (InvalidCodeError, CapabilityError) as exc:  # n > 63: no int64 masks
                 bad.append(str(exc))
         for label, op in (("logicalX", self.logical_x), ("logicalZ", self.logical_z)):
             if not op.is_hermitian:

@@ -53,6 +53,7 @@ from concatcode.codingmap import (
     _directions,
     _expansion,
     _grid,
+    _packed_reduce,
     _terms,
     compiled_map,
     trace_preserving_map,
@@ -719,18 +720,44 @@ def masked_full_form(code):
     return full.entry[keep], np.ascontiguousarray(full.factors[:, keep]), full.numerators[keep]
 
 
-@pytest.mark.parametrize("name", ["bitflip3", "five-qubit", "steane", "shor"])
+@pytest.mark.parametrize("name", ["bitflip3", "five-qubit", "steane", "shor", "y-repetition4"])
 def test_trace_preserving_map_is_the_masked_full_form_on_permuted_specs(name):
-    builtin = get_code(name)
+    builtin = parse_code_spec(Y_REPETITION4) if name == "y-repetition4" else get_code(name)
     rng = np.random.default_rng(41)
-    for _ in range(3):
+    for k in range(6):  # the code's own recoveries permuted, then `recovery auto`
         gens = [builtin.generators[i] for i in rng.permutation(builtin.m)]
         recs = [builtin.recovery[i] for i in rng.permutation(len(builtin.recovery))]
-        code = parse_code_spec(spec_text(builtin, rng.permutation(builtin.n), gens, recs))
+        perm = rng.permutation(builtin.n)
+        code = parse_code_spec(spec_text(builtin, perm, gens, recs if k < 3 else "auto"))
         tp = trace_preserving_map(code)
         for got, want in zip((tp.entry, tp.factors, tp.numerators), masked_full_form(code)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+def test_packed_reduce_at_its_bit_limit():
+    """`_packed_reduce` against a dict on keys to 4 * 15^12 - 1 (n = 14) above
+    positions to 2^15 - 1, 64 bits in all, with many ties and shuffled pairs."""
+    bits, top = 15, 4 * 15**12 - 1
+    assert top.bit_length() + bits == 64
+    rng = np.random.default_rng(23)
+    pool = np.concatenate([[0, 1, top - 1, top], rng.integers(0, top, size=60)])
+    inner = rng.choice(np.arange(1, (1 << bits) - 1), size=12000, replace=False)
+    positions = np.concatenate([[0, (1 << bits) - 1], inner])
+    keys = pool[rng.integers(0, len(pool), size=len(positions))]
+    keys[:2] = top  # packed, the largest key at the largest position is above 2^63
+    order = rng.permutation(len(positions))
+    keys, positions = keys[order], positions[order]
+    nums = rng.integers(-(1 << 40), 1 << 40, size=1 << bits)
+    want: dict[int, list[int]] = {}
+    for key, position in zip(keys.tolist(), positions.tolist()):
+        first, total = want.get(key, (position, 0))
+        want[key] = [min(first, position), total + int(nums[position])]
+    got_keys, got_first, got_sums = _packed_reduce(keys.astype(float), positions, nums, bits)
+    assert got_keys.tolist() == sorted(want)
+    assert got_first.tolist() == [want[key][0] for key in sorted(want)]
+    assert got_sums.tolist() == [want[key][1] for key in sorted(want)]
+    assert len(want) < len(positions) // 100
 
 
 def has_full_form(code) -> bool:

@@ -344,6 +344,20 @@ def test_code_too_wide_for_int64_masks_still_validates():
     )
 
 
+def test_code_past_int64_masks_with_n_minus_1_generators_gets_a_report():
+    n = 64  # a ZZ chain: its group would need 64-bit masks and 2^63 elements
+    gens = [P("I" * q + "ZZ" + "I" * (n - 2 - q)) for q in range(n - 1)]
+    code = StabilizerCode(n, gens, P("X" * n), P("Z" + "I" * (n - 1)), [])
+    report = code.validate()
+    assert not report.passed
+    assert report.violations == (
+        "symplectic arrays are limited to n <= 63, got n = 64",
+        f"expected {1 << 63} recovery operators, got 0",
+    )
+    with pytest.raises(InvalidCodeError, match="limited to n <= 63"):
+        code.distance_and_w()
+
+
 # -- f-matrix and decoding coefficients --------------------------------------------
 
 
