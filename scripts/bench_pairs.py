@@ -12,7 +12,8 @@ bench/run.py`, one run at a time, for the `run_seconds` of the repository's
 parent first when i is even and the change first when i is odd.
 `--section` names the list the runs go into: `paired_runs` (the runs behind a claimed gain),
 `traced_runs` (run with `--trace 1`) or `other_workload_runs`.  An existing
-output file keeps its other runs, so one file collects several calls; the
+output file keeps its other runs, so one file collects several calls, and a
+call numbers its pairs on from those already in its section; the
 description, command, machine and pairing keys are written on every call.
 Exits 1 without writing if a run fails or prints no JSON last line.
 """
@@ -79,9 +80,11 @@ def main(argv: list[str] | None = None) -> int:
     trace = int(args.section == "traced_runs")
     seconds = json.loads(BENCHMARK.read_text())["run_seconds"]
     trees = {"parent": args.parent, "change": args.change}
+    data = json.loads(args.output.read_text()) if args.output.is_file() else {}
+    start = len(data.get(args.section, [])) // 2  # pairs already in the section
 
     runs = []
-    for pair in range(args.pairs):
+    for pair in range(start, start + args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
             output = run_bench(trees[side], args.workload, args.seed, seconds, trace)
@@ -90,7 +93,6 @@ def main(argv: list[str] | None = None) -> int:
                 record["trace"] = 1
             runs.append({**record, "pair": pair, "first": order[0], "output": output})
 
-    data = json.loads(args.output.read_text()) if args.output.is_file() else {}
     data.update(
         description=args.description,
         command=f"python3 bench/run.py --workload <workload> --seed <seed> "

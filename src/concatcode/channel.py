@@ -111,21 +111,21 @@ def as_stokes(channel) -> StokesChannel:
 # -- named families -----------------------------------------------------------
 
 
-def _check_strength(eps: float, allow_nonphysical: bool) -> None:
-    if not allow_nonphysical and not 0.0 <= eps <= 1.0:
+def _check_strength(eps: float) -> None:
+    if not 0.0 <= eps <= 1.0:
         raise ValueError(f"noise strength must lie in [0, 1], got {eps}")
 
 
-def depolarizing(eps: float, allow_nonphysical: bool = False) -> DiagonalChannel:
+def depolarizing(eps: float) -> DiagonalChannel:
     """[1-eps, 1-eps, 1-eps]: replaces the state by the maximally mixed one
-    with probability eps."""
-    _check_strength(eps, allow_nonphysical)
+    with probability eps.  Build a nonphysical value as a `DiagonalChannel`."""
+    _check_strength(eps)
     return DiagonalChannel(1.0 - eps, 1.0 - eps, 1.0 - eps)
 
 
-def dephasing(eps: float, allow_nonphysical: bool = False) -> DiagonalChannel:
+def dephasing(eps: float) -> DiagonalChannel:
     """[1, 1-eps, 1-eps]: applies X with probability eps/2."""
-    _check_strength(eps, allow_nonphysical)
+    _check_strength(eps)
     return DiagonalChannel(1.0, 1.0 - eps, 1.0 - eps)
 
 
@@ -193,6 +193,16 @@ def random_pauli_channel(rng: np.random.Generator) -> DiagonalChannel:
 # -- channel literals ----------------------------------------------------------
 
 
+# kind: (parameter count, how its arity error names them, constructor)
+_LITERALS = {
+    "depol": (1, "one parameter", depolarizing),
+    "deph": (1, "one parameter", dephasing),
+    "pauli": (3, "three parameters", from_pauli_probs),
+    "diag": (3, "three parameters", DiagonalChannel),
+    "stokes": (16, "sixteen row-major parameters", lambda *v: StokesChannel(np.reshape(v, (4, 4)))),
+}
+
+
 def parse_channel_literal(text: str):
     """Parse `depol:<e>`, `deph:<e>`, `pauli:<px>,<py>,<pz>`, `diag:<x>,<y>,<z>`
     or `stokes:<16 row-major reals>`."""
@@ -205,24 +215,9 @@ def parse_channel_literal(text: str):
         raise ValueError(f"non-numeric channel parameter in {text!r}") from None
     if not all(math.isfinite(v) for v in values):
         raise ValueError(f"non-finite channel parameter in {text!r}")
-    if head == "depol":
-        if len(values) != 1:
-            raise ValueError("depol takes exactly one parameter")
-        return depolarizing(values[0])
-    if head == "deph":
-        if len(values) != 1:
-            raise ValueError("deph takes exactly one parameter")
-        return dephasing(values[0])
-    if head == "pauli":
-        if len(values) != 3:
-            raise ValueError("pauli takes exactly three parameters")
-        return from_pauli_probs(*values)
-    if head == "diag":
-        if len(values) != 3:
-            raise ValueError("diag takes exactly three parameters")
-        return DiagonalChannel(*values)
-    if head == "stokes":
-        if len(values) != 16:
-            raise ValueError("stokes takes exactly sixteen row-major parameters")
-        return StokesChannel(np.array(values).reshape(4, 4))
-    raise ValueError(f"unknown channel kind {head!r}")
+    if head not in _LITERALS:
+        raise ValueError(f"unknown channel kind {head!r}")
+    arity, words, build = _LITERALS[head]
+    if len(values) != arity:
+        raise ValueError(f"{head} takes exactly {words}")
+    return build(*values)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -49,24 +49,19 @@ class DiagonalMapPolynomial:
     `components[s]` lists monomials coeff * x^a y^b z^c in ascending
     lexicographic (a, b, c) order; the implicit identity component is the
     constant 1.  Total degree never exceeds `n`.
-
-    `float_terms` is the float form that `evaluator` and `orbit` compile: per
-    component X, Y, Z, the tuple of (float(coeff), a, b, c).  It is derived
-    from `components` on construction and takes no part in equality or repr.
     """
 
     n: int
     components: dict[str, tuple[Monomial, ...]]
-    float_terms: tuple[tuple[tuple[float, int, int, int], ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
 
-    def __post_init__(self):
-        terms = tuple(
+    @functools.cached_property
+    def float_terms(self) -> tuple[tuple[tuple[float, int, int, int], ...], ...]:
+        """The float form that `evaluator` and `orbit` compile: per component
+        X, Y, Z, the tuple of (float(coeff), a, b, c)."""
+        return tuple(
             tuple((float(m.coeff), m.a, m.b, m.c) for m in self.components[sigma])
             for sigma in COMPONENTS
         )
-        object.__setattr__(self, "float_terms", terms)
 
     @functools.cached_property
     def evaluator(self) -> Callable[[float, float, float], tuple[float, float, float]]:
@@ -98,9 +93,7 @@ class DiagonalMapPolynomial:
         coeffs = [Fraction(0)] * (self.n + 1)
         for m in self.components[sigma]:
             coeffs[m.a + m.b + m.c] += m.coeff
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs.pop()
-        return tuple(coeffs)
+        return _trimmed(coeffs)
 
     def restricted_univariate(self, sigma: str, var: str, fixed: dict[str, Fraction]):
         """Coefficients in `var` after substituting exact values for the
@@ -117,9 +110,7 @@ class DiagonalMapPolynomial:
             if any(e != 0 for i, e in enumerate(exps) if i != pos):
                 return None
             coeffs[exps[pos]] += coeff
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs.pop()
-        return tuple(coeffs)
+        return _trimmed(coeffs)
 
     def to_json_obj(self) -> dict:
         return {
@@ -135,6 +126,13 @@ class DiagonalMapPolynomial:
             ]
             for sigma in COMPONENTS
         }
+
+
+def _trimmed(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+    """Degree-ascending `coeffs` without trailing zeros, keeping the constant."""
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 def _float_map_body(float_terms) -> list[str]:
@@ -292,10 +290,12 @@ def _merge(code: StabilizerCode, tp: bool) -> CompiledMap:
     # holds t in digit 15; the (I, I) count follows from the digit sum n.
     # Digits 0-2 (a = I) and, over (n+1)^3, digits 3-15 are each below 2^49
     # and so exact in float64 as sums over qubits of row times column factors.
-    col_low = np.ascontiguousarray(np.array([0.0, 1, base, base**2])[columns].T)
     col_power = (base ** np.arange(4.0))[columns].T
     col_high = np.vstack([col_power, np.repeat(np.arange(4.0) * base**12, size)])
-    col_support = np.concatenate([t.x | t.z for t in tables])
+    if tp:
+        col_support = np.concatenate([t.x | t.z for t in tables])
+    else:
+        col_low = np.ascontiguousarray(np.array([0.0, 1, base, base**2])[columns].T)
     alpha = np.concatenate([t.alpha for t in tables])
     # With tp a key is its digits 3-15, below 4 (n+1)^12, and a pair's position in
     # its block gets the bits left of 64: a row of 4 size = 2^(n+1) pairs fits to n = 14
@@ -304,7 +304,6 @@ def _merge(code: StabilizerCode, tp: bool) -> CompiledMap:
     entries, factors, numerators = [], [], []
     for r, table in enumerate(tables):
         row_letters = columns[r * size : (r + 1) * size]
-        row_low = (row_letters == 0).astype(float)
         row_power = np.array([0.0, 1, base**4, base**8])[row_letters]
         row_high = np.hstack([row_power, np.ones((size, 1))])
         support, live, runs = table.x | table.z, np.flatnonzero(table.beta), []
@@ -316,7 +315,7 @@ def _merge(code: StabilizerCode, tp: bool) -> CompiledMap:
                 kept = np.flatnonzero((col_support & ~support[rows, None]) == 0)
                 keys, first, nums = _packed_reduce(high[kept], kept, nums, bits)
             else:
-                low = (row_low[rows] @ col_low).ravel()
+                low = ((row_letters[rows] == 0) @ col_low).ravel()
                 keys = high.astype(np.int64) * base**3 + low.astype(np.int64)
                 keys, first, nums = _reduce(keys, nums)
             # pair 4 size k' + c: live row k', column c

@@ -96,23 +96,23 @@ def _diagonal_orbit(
     return states, distances, converged, period
 
 
-def _general_orbit(code, t0: StokesChannel, k_max: int, tol: float) -> OrbitRecord:
-    """`iterate`'s orbit of a general input; `general_map` overflows to inf
+def _general_orbit(
+    code, t0: StokesChannel, k_max: int, tol: float
+) -> tuple[list[StokesChannel], list[float], bool]:
+    """The levels of `iterate`'s orbit of a general input, their distances to
+    the identity and whether it converged; `general_map` overflows to inf
     entries, not OverflowError."""
-    state = t0
-    levels = [OrbitLevel(0, state, max_entry_distance(state))]
-    converged = levels[0].distance < tol
-    k = 0
-    while not converged and k < k_max:
-        new = general_map(code, state)
+    channels, distances = [t0], [max_entry_distance(t0)]
+    converged = distances[0] < tol
+    while not converged and len(channels) <= k_max:
+        new = general_map(code, channels[-1])
         dist = max_entry_distance(new)
         if not math.isfinite(dist):
             break
         converged = dist < tol
-        k += 1
-        state = new
-        levels.append(OrbitLevel(k, state, dist))
-    return OrbitRecord(levels=tuple(levels), converged=converged, iterations_used=k)
+        channels.append(new)
+        distances.append(dist)
+    return channels, distances, converged
 
 
 def iterate(
@@ -136,18 +136,17 @@ def iterate(
     by repetition, not evaluation.
     """
     _check_orbit_settings(k_max, tol=tol)
-    if not isinstance(t0, DiagonalChannel):
-        return _general_orbit(code, t0, k_max, tol)
-    states, distances, converged, period = _diagonal_orbit(code, t0, k_max, tol)
-    channels = [t0] + [DiagonalChannel(*state) for state in states[1:]]
-    k = len(channels) - 1
-    if period:
-        for j in range(k + 1, k_max + 1):
-            channels.append(channels[j - period])
-            distances.append(distances[j - period])
-        k = k_max
+    if isinstance(t0, DiagonalChannel):
+        states, distances, converged, period = _diagonal_orbit(code, t0, k_max, tol)
+        channels = [t0] + [DiagonalChannel(*state) for state in states[1:]]
+        if period:
+            for j in range(len(channels), k_max + 1):
+                channels.append(channels[j - period])
+                distances.append(distances[j - period])
+    else:
+        channels, distances, converged = _general_orbit(code, t0, k_max, tol)
     levels = tuple(map(OrbitLevel, range(len(channels)), channels, distances))
-    return OrbitRecord(levels=levels, converged=converged, iterations_used=k)
+    return OrbitRecord(levels=levels, converged=converged, iterations_used=len(levels) - 1)
 
 
 @dataclass(frozen=True)
@@ -321,20 +320,15 @@ class GeneralBound:
     bounds_guaranteed: bool
 
 
-def general_bound_check(
-    code: StabilizerCode, c_m: float | None = None, seed: int = 0
-) -> GeneralBound:
+def general_bound_check(code: StabilizerCode, seed: int = 0) -> GeneralBound:
     """Evaluate the arbitrary-channel convergence bound (c_N + c_M)^-1.
 
     For codes whose diagonal polynomials equal the five-qubit code's, the
     closed-form quadratic constant (1 - sqrt(2/3))^-1 is used; other codes
-    fall back to the operational grid constant.  An explicit `c_m`
-    overrides either.
+    fall back to the operational grid constant.
     """
     constants = c_constants(code, seed=seed)
-    if c_m is not None:
-        source = "user"
-    elif diagonal_map(code).components == diagonal_map(get_code("five-qubit")).components:
+    if diagonal_map(code).components == diagonal_map(get_code("five-qubit")).components:
         c_m = FIVE_QUBIT_QUADRATIC_CONSTANT
         source = "closed-form"
     else:

@@ -314,15 +314,11 @@ class StabilizerCode:
         return int(np.bitwise_count((x ^ cx) | (z ^ cz)).min()), w
 
 
-def auto_recovery(generators: Sequence[PauliString], n: int | None = None) -> list[PauliString]:
-    """One minimum-weight representative per syndrome, ties broken by the
+def auto_recovery(generators: Sequence[PauliString], n: int) -> list[PauliString]:
+    """One minimum-weight n-qubit representative per syndrome, ties broken by the
     lexicographic letter order I < X < Y < Z position by position; phases +1.
     """
     gens = list(generators)
-    if n is None:
-        if not gens:
-            raise ValueError("qubit count required when there are no generators")
-        n = gens[0].n
     found: dict[int, PauliString] = {}
     bits = 1 << np.arange(n)
     for weight in range(n + 1):

@@ -68,6 +68,16 @@ def test_pairs_alternate_and_sections_accumulate(bench_pairs, trees):
     assert log[0].split()[1:] == argv
     assert log[-1].split()[-1] == "1"
 
+    # a later call into a section numbers its pairs on from those already there
+    assert bench_pairs.main([*common, "--workload", "u", "--pairs", "2", "--description", "c"]) == 0
+    runs = json.loads(out.read_text())["paired_runs"]
+    assert [(r["pair"], r["side"], r["first"]) for r in runs[6:]] == [
+        (3, "change", "change"), (3, "parent", "change"),
+        (4, "parent", "parent"), (4, "change", "parent"),
+    ]
+    log = (trees / "order.log").read_text().splitlines()
+    assert [line.split()[0] for line in log[8:]] == ["new", "old", "old", "new"]
+
 
 def test_a_failing_run_writes_nothing(bench_pairs, trees):
     (trees / "new" / "bench" / "run.py").write_text("raise SystemExit(3)\n")

@@ -33,7 +33,7 @@ def test_strength_range_enforced():
         depolarizing(1.5)
     with pytest.raises(ValueError):
         dephasing(-0.1)
-    assert depolarizing(1.2, allow_nonphysical=True).x == pytest.approx(-0.2)
+    assert parse_channel_literal("diag:-0.2,-0.2,-0.2") == DiagonalChannel(-0.2, -0.2, -0.2)
 
 
 def test_from_pauli_probs():
@@ -188,3 +188,21 @@ def test_parse_literals():
 def test_parse_literal_errors(bad):
     with pytest.raises(ValueError):
         parse_channel_literal(bad)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("depol:0.1,0.2", "depol takes exactly one parameter"),
+        ("deph:", "deph takes exactly one parameter"),
+        ("pauli:0.1", "pauli takes exactly three parameters"),
+        ("diag:1,1,1,1", "diag takes exactly three parameters"),
+        ("stokes:1,2,3", "stokes takes exactly sixteen row-major parameters"),
+        ("wat:1", "unknown channel kind 'wat'"),
+        ("wat:a", "non-numeric channel parameter in 'wat:a'"),  # values before the kind
+    ],
+)
+def test_parse_literal_error_messages(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_channel_literal(text)
+    assert str(info.value) == message

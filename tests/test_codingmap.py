@@ -31,6 +31,8 @@ from concatcode import (
     CConstants,
     CapabilityError,
     DiagonalChannel,
+    DiagonalMapPolynomial,
+    Monomial,
     PauliString,
     StabilizerCode,
     StokesChannel,
@@ -148,6 +150,21 @@ def test_depolarizing_line_five_qubit():
     poly = diagonal_map(get_code("five-qubit"))
     line = poly.depolarizing_line("X")
     assert line == (F(0), F(0), F(0), F(5, 2), F(0), F(-3, 2))
+
+
+def test_line_polynomials_drop_top_degree_terms_that_cancel():
+    # X = x + x^2 z - x^2 y: its degree-3 terms cancel on x = y = z = t and its
+    # x^2 terms at y = z = 1; Y = x y - x z cancels entirely on both
+    poly = DiagonalMapPolynomial(n=3, components={
+        "X": (Monomial(1, 0, 0, F(1)), Monomial(2, 0, 1, F(1)), Monomial(2, 1, 0, F(-1))),
+        "Y": (Monomial(1, 1, 0, F(1)), Monomial(1, 0, 1, F(-1))),
+        "Z": (Monomial(0, 0, 1, F(1)),),
+    })
+    at_one = {"y": F(1), "z": F(1)}
+    assert poly.depolarizing_line("X") == (F(0), F(1))
+    assert poly.restricted_univariate("X", "x", fixed=at_one) == (F(0), F(1))
+    assert poly.depolarizing_line("Y") == (F(0),)
+    assert poly.restricted_univariate("Y", "x", fixed=at_one) == (F(0),)
 
 
 def test_apply_diagonal_examples():

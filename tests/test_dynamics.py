@@ -405,6 +405,17 @@ def test_threshold_below_the_float_spacing_ends_at_adjacent_floats(five_qubit):
     assert abs(value - threshold(five_qubit, ray)) <= 1e-6
 
 
+def test_threshold_with_a_tolerance_below_the_float_spacing_in_process(five_qubit):
+    # the bracket near 0.1835 is two adjacent floats long before its width is 1e-300
+    value = threshold(five_qubit, RaySpec.depolarizing_ray(), tol_eps=1e-300)
+    assert value == 0.18350341907218973
+
+
+def test_threshold_is_one_where_eps_one_converges(five_qubit):
+    value = threshold(five_qubit, RaySpec.custom((0.001, 0.0, 0.0)))
+    assert type(value) is float and value == 1.0
+
+
 def test_zero_direction_ray_rejected():
     with pytest.raises(ValueError):
         RaySpec.custom((0.0, 0.0, 0.0))
@@ -506,9 +517,9 @@ def test_five_qubit_bound(five_qubit):
 
 
 def test_bound_monotone_in_c_n(five_qubit, steane):
-    fixed_c_m = 5.0
-    small = general_bound_check(five_qubit, c_m=fixed_c_m)
-    large = general_bound_check(steane, c_m=fixed_c_m)
+    small, large = general_bound_check(five_qubit), general_bound_check(steane)
+    for bound in (small, large):
+        assert bound.value == 1.0 / (bound.c_n + bound.c_m)
     assert large.c_n > small.c_n
     assert large.value < small.value
 

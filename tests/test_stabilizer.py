@@ -591,7 +591,7 @@ def test_group_of_random_generators_matches_products():
 
 
 def test_auto_recovery_bitflip3(bitflip3):
-    recs = auto_recovery(bitflip3.generators)
+    recs = auto_recovery(bitflip3.generators, bitflip3.n)
     assert {str(r) for r in recs} == {"III", "XII", "IXI", "IIX"}
     assert recs[0] == PauliString.identity(3)
 
@@ -601,7 +601,7 @@ def test_auto_recovery_trivial_code():
 
 
 def test_auto_recovery_five_qubit_matches_single_qubit_corrections(five_qubit):
-    recs = auto_recovery(five_qubit.generators)
+    recs = auto_recovery(five_qubit.generators, five_qubit.n)
     assert {str(r) for r in recs} == {str(r) for r in five_qubit.recovery}
     assert all((r.x_mask | r.z_mask).bit_count() <= 1 for r in recs)
 
@@ -643,7 +643,7 @@ def test_auto_recovery_leaders_have_minimal_weight(name):
     gens = [code.generators[i] for i in rng.permutation(code.m)]
     shuffled = parse_code_spec(spec_text(code, rng.permutation(code.n), gens, "auto"))
     for generators in (code.generators, shuffled.generators):
-        assert auto_recovery(generators) == _leaders_by_eta(generators, code.n, 3)
+        assert auto_recovery(generators, code.n) == _leaders_by_eta(generators, code.n, 3)
 
 
 def test_permuted_steane_matches_eta_reference(steane):
