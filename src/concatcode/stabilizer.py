@@ -319,8 +319,17 @@ def auto_recovery(generators: Sequence[PauliString], n: int) -> list[PauliString
     lexicographic letter order I < X < Y < Z position by position; phases +1.
     """
     gens = list(generators)
-    found: dict[int, PauliString] = {}
     bits = 1 << np.arange(n)
+    # the syndromes of the single-qubit X and Z strings span the reachable ones
+    basis: list[int] = []
+    for s in np.concatenate([syndromes(gens, bits, 0), syndromes(gens, 0, bits)]).tolist():
+        for b in basis:  # each b has the leading bits of those before it cleared
+            s = min(s, s ^ b)
+        if s:
+            basis.append(s)
+    if len(basis) < len(gens):
+        raise InvalidCodeError("some syndromes are unreachable; generators are degenerate")
+    found: dict[int, PauliString] = {}
     for weight in range(n + 1):
         # every word of this weight, letters I, X, Y, Z = 0, 1, 2, 3, in word order
         positions = np.array(list(itertools.combinations(range(n), weight)), dtype=np.intp)
@@ -334,9 +343,9 @@ def auto_recovery(generators: Sequence[PauliString], n: int) -> list[PauliString
         for s, i in zip(values.tolist(), first.tolist()):
             if s not in found:
                 found[s] = PauliString._raw(n, int(x[i]), int(z[i]), int(x[i] & z[i]).bit_count())
-        if len(found) == 1 << len(gens):
-            return [found[s] for s in range(len(found))]
-    raise InvalidCodeError("some syndromes are unreachable; generators are degenerate")
+        if len(found) == 1 << len(gens):  # by weight n at the latest, at full rank
+            break
+    return [found[s] for s in range(len(found))]
 
 
 # -- code spec text format ---------------------------------------------------

@@ -24,6 +24,18 @@ THIRTEEN_QUBIT = (
     + f"logicalX {'X' * 13}\nlogicalZ {'Z' * 13}\nrecovery auto\n"
 )
 
+# the five-qubit code padded with a sixth qubit that one Z generator fixes: the
+# five-qubit diagonal polynomials, so the closed-form c_M, with c_N = 128
+FIVE_QUBIT_PADDED = """n 6
+generator XZZXII
+generator IXZZXI
+generator XIXZZI
+generator ZXIXZI
+generator IIIIIZ
+logicalX XXXXXI
+logicalZ ZZZZZI
+recovery auto
+"""
 
 # one spec per kind of invalid code, each with its one `validate` violation
 DEFECT_SPECS = {
@@ -83,6 +95,16 @@ def pauli_dense(p) -> np.ndarray:
     unit = PHASES[(p.phase_exponent + (x & z).bit_count()) % 4]
     out[columns ^ x, columns] = np.where(np.bitwise_count(columns & z) & 1, -unit, unit)
     return out
+
+
+def kraus_operators(channel) -> np.ndarray:
+    """Kraus operators of a completely positive channel, stacked (rank, 2, 2),
+    from the eigendecomposition of its Choi operator; eigenvalues at most
+    1e-12 are dropped: the tests' forward-pass references apply them to
+    states, which the package itself never does."""
+    vals, vecs = np.linalg.eigh(channel.choi())
+    kept = [np.sqrt(lam) * v.reshape(2, 2) for lam, v in zip(vals, vecs.T) if lam > 1e-12]
+    return np.array(kept)
 
 
 def syndrome(generators, p) -> int:

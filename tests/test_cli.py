@@ -15,7 +15,7 @@ import concatcode.cli
 import concatcode.dynamics
 from concatcode.cli import main
 from concatcode.stabilizer import parse_code_spec
-from conftest import DEFECT_SPECS, THIRTEEN_QUBIT
+from conftest import DEFECT_SPECS, FIVE_QUBIT_PADDED, THIRTEEN_QUBIT
 
 SQRT_2_3 = math.sqrt(2.0 / 3.0)
 
@@ -390,6 +390,58 @@ def test_jacobian_leaving_the_float_range_exits_two(capsys, argv):
     assert out == ""
     assert err.startswith("error: the Jacobian at ")
     assert err.count("\n") == 1
+
+
+# spec text for "{}", or the value of CONCATCODE_SEED for the seed case
+@pytest.mark.parametrize(
+    ("argv", "text", "err"),
+    [
+        (["threshold", "five-qubit", "--ray", "ray:1,2"], None,
+         "custom ray needs three components: ray:<dx>,<dy>,<dz>"),
+        (["threshold", "five-qubit", "--ray", "foo"], None,
+         "unknown ray 'foo'; use depol, deph or ray:<dx>,<dy>,<dz>"),
+        (["jacobian", "five-qubit", "--at", STOKES_LITERAL], None,
+         "the 3x3 Jacobian needs a diagonal channel; use --full"),
+        (["codes", "validate"], None, "codes validate needs a code argument"),
+        (["codes", "list"], "abc", "CONCATCODE_SEED must be an integer"),
+        (["codes", "validate", "{}"], "n 3 4\n",
+         "line 1: expected exactly one value after 'n'"),
+        (["codes", "validate", "{}"], "generator ZZI\nlogicalX XXX\nlogicalZ ZZZ\n",
+         "line 4: missing 'n' line"),
+        (["codes", "validate", "{}"], "n 3\ngenerator ZZI\ngenerator IZZ\nlogicalX XXX\n",
+         "line 5: missing logicalX or logicalZ line"),
+        (["codes", "validate", "{}"],
+         "n 3\ngenerator ZZI\ngenerator IZZ\nlogicalX XXX\nlogicalZ ZZZ\n"
+         "recovery auto\nrecovery III\n",
+         "line 8: both explicit recovery lines and 'recovery auto'"),
+    ],
+)
+def test_bad_input_exits_two_with_one_line(tmp_path, capsys, monkeypatch, argv, text, err):
+    if "{}" in argv:
+        (tmp_path / "bad.code").write_text(text)
+        argv = [str(tmp_path / "bad.code") if a == "{}" else a for a in argv]
+    elif text is not None:
+        monkeypatch.setenv("CONCATCODE_SEED", text)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse-level errors exit from the parser
+        code = exc.code
+    assert (code, *capsys.readouterr()) == (2, "", f"error: {err}\n")
+
+
+def test_bound_of_a_padded_five_qubit_code(tmp_path, capsys):
+    # the five-qubit polynomials, so the closed-form c_M, with c_N = 128: a bound below 0.014
+    spec = tmp_path / "padded.code"
+    spec.write_text(FIVE_QUBIT_PADDED)
+    assert run_json(capsys, "bound", str(spec)) == {
+        "bound": 0.00749347188908288,
+        "bounds_guaranteed": False,
+        "c_m": 5.4494897427831779,
+        "c_m_grid": 5.5904588377453379,
+        "c_m_source": "closed-form",
+        "c_n": 128,
+        "code": str(spec),
+    }
 
 
 def test_zero_levels_still_accepted(capsys):

@@ -22,16 +22,16 @@ from concatcode import (
     from_pauli_probs,
     general_map,
     get_code,
+    is_valid_channel,
     load_code,
     max_oracle_deviation,
     random_cptp,
-    simulate,
 )
-from concatcode.linalg import PAULI_MATS
+from concatcode.channel import PAULI_MATS
 from concatcode.oracle import _dense_parts, _project, _signed_permutations
 from concatcode.pauli import PHASES, PauliString, eta
 from concatcode.stabilizer import parse_code_spec
-from conftest import Y_REPETITION4, pauli_dense
+from conftest import Y_REPETITION4, kraus_operators, pauli_dense
 
 DENSE_CODES = ("bitflip3", "five-qubit", "steane")
 
@@ -44,7 +44,7 @@ def _reference_simulate(code, channel, rhos):
     the leading pair, then a transposed copy that moves it last.
     """
     parts = _dense_parts(code)
-    kraus = np.array(channel.kraus_operators())
+    kraus = kraus_operators(channel)
     process = np.einsum("eac,ebd->abcd", kraus, kraus.conj()).reshape(4, 4)
 
     n, batch, dim = code.n, len(rhos), 1 << code.n
@@ -180,20 +180,21 @@ def test_decoders_match_full_projector_product(name):
 @pytest.mark.parametrize("name", ["bitflip3", "five-qubit", "steane"])
 def test_simulate_matches_qubit_by_qubit_process_tensors(name):
     """The oracle against a forward pass through apply_map_on_qubit, which
-    contracts the process tensor on one qubit's row and column axes, on a
-    non-hermitian input."""
+    contracts the process tensor on one qubit's row and column axes, of the
+    four inputs P_t / 2: T[s, t] = tr(P_s image_t)."""
     code = get_code(name)
-    rng = np.random.default_rng(11)
-    channel = random_cptp(rng)
-    rho0 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    kraus = np.array(channel.kraus_operators())
+    channel = random_cptp(np.random.default_rng(11))
+    kraus = kraus_operators(channel)
     process = np.einsum("eac,ebd->abcd", kraus, kraus.conj())
     parts = _dense_parts(code)
-    noisy = parts.encoder @ rho0 @ parts.encoder.conj().T
-    for q in range(code.n):
-        noisy = apply_map_on_qubit(noisy, process, q, code.n)
-    expected = sum(w @ noisy @ w.conj().T for w in parts.decoders)
-    np.testing.assert_allclose(simulate(code, channel, rho0), expected, atol=1e-12)
+    expected = np.empty((4, 4))
+    for t, rho0 in enumerate(PAULI_MATS / 2):
+        noisy = parts.encoder @ rho0 @ parts.encoder.conj().T
+        for q in range(code.n):
+            noisy = apply_map_on_qubit(noisy, process, q, code.n)
+        image = sum(w @ noisy @ w.conj().T for w in parts.decoders)
+        expected[:, t] = np.einsum("sab,ba->s", PAULI_MATS, image).real
+    np.testing.assert_allclose(extract_stokes(code, channel).matrix, expected, atol=1e-12)
 
 
 FAULTS_PER_EXTRACTION = """
@@ -257,21 +258,9 @@ def test_even_code_with_y_generators_matches_reference_forward_pass():
         np.testing.assert_allclose(dense, general_map(code, channel).matrix, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("name", DENSE_CODES)
-def test_simulate_matches_reference_on_non_hermitian_input(name):
-    code = get_code(name)
-    rng = np.random.default_rng(31)
-    channel = random_cptp(rng)
-    rho0 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    expected = _reference_simulate(code, channel, rho0[None])[0]
-    np.testing.assert_allclose(simulate(code, channel, rho0), expected, rtol=0, atol=1e-12)
-
-
 def test_identity_channel_roundtrip(five_qubit):
-    for t in range(4):
-        rho0 = PAULI_MATS[t] / 2
-        rho_f = simulate(five_qubit, StokesChannel.identity(), rho0)
-        np.testing.assert_allclose(rho_f, rho0, atol=1e-12)
+    effective = extract_stokes(five_qubit, StokesChannel.identity())
+    np.testing.assert_allclose(effective.matrix, np.eye(4), rtol=0, atol=1e-12)
 
 
 def test_bitflip3_recovers_inner_flip_polynomial(bitflip3):
@@ -317,14 +306,7 @@ def test_oracle_agrees_with_general_map_to_rounding(name, trials, seed):
 def test_trace_preservation_and_positivity(five_qubit):
     rng = np.random.default_rng(9)
     for _ in range(5):
-        channel = random_cptp(rng)
-        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        rho0 = g @ g.conj().T
-        rho0 /= np.trace(rho0).real
-        rho_f = simulate(five_qubit, channel, rho0)
-        assert np.trace(rho_f).real == pytest.approx(1.0, abs=1e-12)
-        assert abs(np.trace(rho_f).imag) <= 1e-12
-        assert np.linalg.eigvalsh(rho_f).min() >= -1e-10
+        assert is_valid_channel(extract_stokes(five_qubit, random_cptp(rng)))
 
 
 def test_oracle_rejects_large_codes(ten_qubit_spec):
@@ -336,14 +318,14 @@ def test_oracle_rejects_large_codes(ten_qubit_spec):
 def test_oracle_rejects_non_cp(five_qubit):
     transpose_map = StokesChannel(np.diag([1.0, 1.0, -1.0, 1.0]))
     with pytest.raises(ValueError, match="completely positive channel"):
-        simulate(five_qubit, transpose_map, PAULI_MATS[0] / 2)
+        extract_stokes(five_qubit, transpose_map)
 
 
 def test_oracle_rejects_non_tp(five_qubit):
     not_tp = np.eye(4)
     not_tp[0, 0] = 0.9
     with pytest.raises(ValueError, match="trace-preserving, completely positive channel"):
-        simulate(five_qubit, StokesChannel(not_tp), PAULI_MATS[0] / 2)
+        extract_stokes(five_qubit, StokesChannel(not_tp))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -353,12 +335,6 @@ def test_oracle_rejects_non_finite_channels(five_qubit, bad):
         matrix[entry] = bad
         with pytest.raises(ValueError, match="finite"):
             extract_stokes(five_qubit, StokesChannel(matrix))
-        with pytest.raises(ValueError, match="finite"):
-            simulate(five_qubit, StokesChannel(matrix), PAULI_MATS[0] / 2)
     with pytest.raises(ValueError, match="finite"):
         extract_stokes(five_qubit, DiagonalChannel(1.0, bad, 1.0))
 
-
-def test_oracle_rejects_bad_state_shape(five_qubit):
-    with pytest.raises(ValueError):
-        simulate(five_qubit, StokesChannel.identity(), np.eye(4))

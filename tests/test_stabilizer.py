@@ -606,9 +606,12 @@ def test_auto_recovery_five_qubit_matches_single_qubit_corrections(five_qubit):
     assert all((r.x_mask | r.z_mask).bit_count() <= 1 for r in recs)
 
 
-def test_auto_recovery_unreachable_syndromes():
-    with pytest.raises(InvalidCodeError):
-        auto_recovery([P("ZZI"), P("ZZI")], n=3)
+@pytest.mark.parametrize("n", [3, 40])
+def test_auto_recovery_unreachable_syndromes(n):
+    # rejected from the syndromes' rank, before any of the 4^n words is formed
+    twice = P("ZZ" + "I" * (n - 2))
+    with pytest.raises(InvalidCodeError, match="some syndromes are unreachable"):
+        auto_recovery([twice, twice], n=n)
 
 
 def _words(n, max_weight):
