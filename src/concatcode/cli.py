@@ -19,11 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import (
-    DiagonalChannel,
-    as_stokes,
-    parse_channel_literal,
-)
+from .channel import DiagonalChannel, parse_channel_literal
 from .codingmap import diagonal_map
 from .dynamics import (
     RaySpec,
@@ -234,7 +230,7 @@ def _cmd_jacobian(args) -> int:
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             if args.full:
-                matrix = jacobian_fd_full(code, as_stokes(channel), h=args.h)
+                matrix = jacobian_fd_full(code, channel, h=args.h)
             else:
                 matrix = jacobian_fd(code, channel, h=args.h)
     except OverflowError:

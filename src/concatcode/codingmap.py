@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .channel import DiagonalChannel, StokesChannel
+from .channel import DiagonalChannel, StokesChannel, as_stokes
 from .stabilizer import SIGMAS, CapabilityError, StabilizerCode, per_code
 
 COMPONENTS = ("X", "Y", "Z")
@@ -56,8 +56,8 @@ class DiagonalMapPolynomial:
 
     @functools.cached_property
     def float_terms(self) -> tuple[tuple[tuple[float, int, int, int], ...], ...]:
-        """The float form that `evaluator` and `orbit` compile: per component
-        X, Y, Z, the tuple of (float(coeff), a, b, c)."""
+        """The float form that `evaluator` and `orbit` compile and `c_constants`
+        reads: per component X, Y, Z, the tuple of (float(coeff), a, b, c)."""
         return tuple(
             tuple((float(m.coeff), m.a, m.b, m.c) for m in self.components[sigma])
             for sigma in COMPONENTS
@@ -88,29 +88,27 @@ class DiagonalMapPolynomial:
         """
         return DiagonalChannel(*self.evaluator(float(t.x), float(t.y), float(t.z)))
 
-    def depolarizing_line(self, sigma: str) -> tuple[Fraction, ...]:
-        """Coefficients (degree-ascending) of the restriction x = y = z = t."""
+    def restrict(self, sigma: str, point) -> tuple[Fraction, ...] | None:
+        """Component `sigma` on a line, exactly: `point` gives per variable
+        x, y, z an exact value, "t" for the line variable, or None for a
+        variable that must not occur.  Returns the coefficients in t in
+        ascending degree, trailing zeros dropped down to the constant, or
+        None if a variable given as None occurs."""
         coeffs = [Fraction(0)] * (self.n + 1)
         for m in self.components[sigma]:
-            coeffs[m.a + m.b + m.c] += m.coeff
-        return _trimmed(coeffs)
-
-    def restricted_univariate(self, sigma: str, var: str, fixed: dict[str, Fraction]):
-        """Coefficients in `var` after substituting exact values for the
-        variables named in `fixed`; None if another variable survives."""
-        pos = "xyz".index(var)
-        coeffs = [Fraction(0)] * (self.n + 1)
-        for m in self.components[sigma]:
-            exps = [m.a, m.b, m.c]
-            coeff = m.coeff
-            for v, value in fixed.items():
-                p = "xyz".index(v)
-                coeff *= Fraction(value) ** exps[p]
-                exps[p] = 0
-            if any(e != 0 for i, e in enumerate(exps) if i != pos):
-                return None
-            coeffs[exps[pos]] += coeff
-        return _trimmed(coeffs)
+            coeff, degree = m.coeff, 0
+            for value, e in zip(point, m[:3]):
+                if value == "t":
+                    degree += e
+                elif value is None:
+                    if e:
+                        return None
+                else:
+                    coeff *= Fraction(value) ** e
+            coeffs[degree] += coeff
+        while len(coeffs) > 1 and coeffs[-1] == 0:
+            coeffs.pop()
+        return tuple(coeffs)
 
     def to_json_obj(self) -> dict:
         return {
@@ -126,13 +124,6 @@ class DiagonalMapPolynomial:
             ]
             for sigma in COMPONENTS
         }
-
-
-def _trimmed(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-    """Degree-ascending `coeffs` without trailing zeros, keeping the constant."""
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
 
 
 def _float_map_body(float_terms) -> list[str]:
@@ -345,7 +336,7 @@ def trace_preserving_map(code: StabilizerCode) -> CompiledMap:
     return _merge(code, tp=True)
 
 
-def general_map(code: StabilizerCode, channel: StokesChannel) -> StokesChannel:
+def general_map(code: StabilizerCode, channel: DiagonalChannel | StokesChannel) -> StokesChannel:
     """Image of an arbitrary superoperator under one coding level: one
     gather-and-product pass over the compiled monomials.
 
@@ -354,7 +345,7 @@ def general_map(code: StabilizerCode, channel: StokesChannel) -> StokesChannel:
     agree bit for bit on finite inputs; where an entry is infinite or NaN
     they may differ, because the full form turns 0 * inf into NaN.
     """
-    matrix = channel.matrix
+    matrix = as_stokes(channel).matrix
     tp = matrix[0].tolist() == [1.0, 0.0, 0.0, 0.0]
     compiled = trace_preserving_map(code) if tp else compiled_map(code)
     terms = matrix.ravel()[compiled.factors].prod(axis=0) * compiled.numerators
@@ -429,22 +420,6 @@ def _grid(seed: int, n: int) -> tuple[np.ndarray, ...]:
 
 
 @per_code
-def _terms(code: StabilizerCode) -> tuple:
-    """`diagonal_map`'s float terms, read-only: per component the coefficients,
-    the running term counts, all (terms, 3) exponents, per variable the
-    exponents in use, and per component 1 + the coefficients' absolute sum."""
-    terms = diagonal_map(code).float_terms
-    coeffs = tuple(np.array([c for c, *_ in component]) for component in terms)
-    ends = np.cumsum([len(c) for c in coeffs])
-    exps = np.array([e for component in terms for _, *e in component], dtype=np.int64)
-    degrees = tuple(np.flatnonzero(np.bincount(exps[:, v])) for v in range(3))
-    sums = np.array([np.abs(c).sum() + 1.0 for c in coeffs])
-    for array in (*coeffs, ends, exps, *degrees, sums):
-        array.setflags(write=False)
-    return coeffs, ends, exps, degrees, sums
-
-
-@per_code
 def _expansion(code: StabilizerCode) -> np.ndarray:
     """The diagonal map about the identity, exactly: a read-only (3, J) int64
     array T, component s at (1 - e_x, 1 - e_y, 1 - e_z) being the sum over the
@@ -454,10 +429,14 @@ def _expansion(code: StabilizerCode) -> np.ndarray:
     with c_N <= 4^m, so T and T / 2^m are exact while c_N 2^n < 2^53 (to n = 18
     whatever c_N).  Triples and binomials do not depend on the seed."""
     binom, ijl = _grid(0, code.n)[2:4]
-    coeffs, ends, exps, _, _ = _terms(code)
-    choose = binom[exps[:, :, None], ijl].prod(axis=1)  # (terms, J)
-    nums = [(c * (1 << code.m)).astype(np.int64) for c in coeffs]  # float(num / 2^m) 2^m is num
-    expansion = np.array([num @ choose[end - len(num) : end] for num, end in zip(nums, ends)])
+    poly = diagonal_map(code)
+    rows = []
+    for sigma in COMPONENTS:
+        terms = poly.components[sigma]
+        nums = np.array([int(m.coeff * (1 << code.m)) for m in terms], dtype=np.int64)
+        exps = np.array([m[:3] for m in terms], dtype=np.int64)
+        rows.append(nums @ binom[exps[:, :, None], ijl].prod(axis=1))
+    expansion = np.array(rows)
     expansion.setflags(write=False)
     return expansion
 
@@ -472,13 +451,17 @@ def c_constants(code: StabilizerCode, seed: int = 0) -> CConstants:
 
     Only the directions that a screen of all 23 cannot rule out are then
     evaluated term by term, so c_M keeps the bits of evaluating all 23.  The
-    screen reads `_expansion` and `_terms`, built once per code, and `_grid`,
-    built once per (seed, n).
+    screen reads `_expansion`, built once per code, and `_grid`, built once
+    per (seed, n).
     """
     # 2^m sum_i |beta_i| = sum_i |f_i|, as beta = f alpha / 2^m with alpha = +-1
     c_n = Fraction(int(np.abs(code.f_matrix()).sum(axis=0).max()))
 
-    coeffs, ends, exps, degrees, sums = _terms(code)
+    terms = diagonal_map(code).float_terms
+    coeffs = [np.array([c for c, *_ in component]) for component in terms]
+    ends = np.cumsum([len(c) for c in coeffs])
+    exps = np.array([e for component in terms for _, *e in component], dtype=np.int64)
+    degrees = [np.flatnonzero(np.bincount(exps[:, v])) for v in range(3)]
     directions, eps, _, _, by_degree, u_monomials, eps_powers = _grid(seed, code.n)
     table = np.empty((code.n + 1, 3, GRID_POINTS))  # (degree, 3, grid), rows in use only
 
@@ -502,7 +485,7 @@ def c_constants(code: StabilizerCode, seed: int = 0) -> CConstants:
     # screen and (sum |c| + 1) / eps^2, added to row 1's eps^0 term, for grid_max
     # (x, y, z in [0, 1]).  That is under 1e-13 for n <= 14 and under 1e-12 to
     # n = 35, so while T is exact no direction holding c_M is dropped.
-    poly[1, :, 0] += np.tile(sums, len(directions))
+    poly[1, :, 0] += np.tile([np.abs(c).sum() + 1.0 for c in coeffs], len(directions))
     screen, slack = poly @ eps_powers
     np.abs(screen, out=screen)
     slack += screen

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .channel import DiagonalChannel, StokesChannel, max_entry_distance
+from .channel import DiagonalChannel, StokesChannel, as_stokes, max_entry_distance
 from .codingmap import COMPONENTS, c_constants, diagonal_map, general_map
 from .stabilizer import StabilizerCode, get_code
 
@@ -274,14 +273,16 @@ def jacobian_fd(code: StabilizerCode, at: DiagonalChannel, h: float = 1e-5) -> n
     )
 
 
-def jacobian_fd_full(code: StabilizerCode, at: StokesChannel, h: float = 1e-5) -> np.ndarray:
+def jacobian_fd_full(
+    code: StabilizerCode, at: DiagonalChannel | StokesChannel, h: float = 1e-5
+) -> np.ndarray:
     """Central-difference 16x16 Jacobian of the full coding map on Stokes space.
 
     Entries are row-major over (output entry, input entry).  Exposed as an
     experiment hook; no attracting-fixed-point claim is attached to it.
     """
     return _central_differences(
-        lambda matrix: general_map(code, StokesChannel(matrix)).matrix, at.matrix, h
+        lambda matrix: general_map(code, StokesChannel(matrix)).matrix, as_stokes(at).matrix, h
     )
 
 
@@ -351,22 +352,18 @@ def fixed_point_cross_check(code: StabilizerCode, ray: RaySpec) -> dict | None:
     The depolarizing ray reduces when the three diagonal components agree
     on the line x = y = z; the dephasing ray reduces when the X component
     is identically 1 at x = 1 and the Z component is autonomous in z.
-    Returns the univariate coefficients, its fixed points in [0, 1], and
-    the implied threshold, or None when no reduction applies.
+    Returns the line variable, the fixed points in [0, 1] of the
+    univariate polynomial and the implied threshold, or None when no
+    reduction applies.
     """
     poly = diagonal_map(code)
     coeffs = None
-    variable = None
     if ray.family == "depolarizing":
-        lines = [poly.depolarizing_line(s) for s in COMPONENTS]
+        lines = [poly.restrict(s, ("t", "t", "t")) for s in COMPONENTS]
         if lines[0] == lines[1] == lines[2]:
             coeffs, variable = lines[0], "t"
-    elif ray.family == "dephasing":
-        x_line = poly.restricted_univariate("X", "x", fixed={})
-        if x_line is not None and sum(x_line) == 1:
-            z_line = poly.restricted_univariate("Z", "z", fixed={"x": Fraction(1)})
-            if z_line is not None:
-                coeffs, variable = z_line, "z"
+    elif ray.family == "dephasing" and poly.restrict("X", (1, None, None)) == (1,):
+        coeffs, variable = poly.restrict("Z", (1, None, "t")), "z"
     if coeffs is None:
         return None
     scan = fixed_points_1d([float(v) for v in coeffs], interval=(0.0, 1.0))
@@ -374,7 +371,6 @@ def fixed_point_cross_check(code: StabilizerCode, ray: RaySpec) -> dict | None:
     implied = 1.0 - max(below_one) if below_one else 1.0
     return {
         "variable": variable,
-        "coefficients": [float(v) for v in coeffs],
         "fixed_points": list(scan.roots),
         "threshold_from_fixed_point": implied,
     }

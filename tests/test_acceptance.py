@@ -74,7 +74,7 @@ def test_criterion_01_symbolic_five_qubit_map(capsys):
 def test_criterion_02_depolarizing_fixed_point():
     started = time.perf_counter()
     poly = diagonal_map(get_code("five-qubit"))
-    line = poly.depolarizing_line("X")
+    line = poly.restrict("X", ("t", "t", "t"))
     assert line == (F(0), F(0), F(0), F(5, 2), F(0), F(-3, 2))
     scan = fixed_points_1d([float(c) for c in line], interval=(0.0, 1.0), tol=1e-12)
     below_one = [r for r in scan.roots if r < 1.0 - 1e-9]
@@ -102,7 +102,7 @@ def test_criterion_03_shor_dephasing():
     expected = [(0, 0, d, c) for d, c in enumerate(cubed) if c != 0]
     assert [(m.a, m.b, m.c, m.coeff) for m in poly.components["Z"]] == expected
 
-    z_line = poly.restricted_univariate("Z", "z", fixed={})
+    z_line = poly.restrict("Z", (None, None, "t"))
     scan = fixed_points_1d([float(c) for c in z_line], interval=(0.0, 1.0), tol=1e-12)
     top = max(r for r in scan.roots if r < 1.0 - 1e-9)
     assert top < 0.73

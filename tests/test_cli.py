@@ -13,7 +13,7 @@ import pytest
 import concatcode
 import concatcode.cli
 import concatcode.dynamics
-from concatcode.cli import main
+from concatcode.cli import canonical_json, main
 from concatcode.stabilizer import parse_code_spec
 from conftest import DEFECT_SPECS, FIVE_QUBIT_PADDED, THIRTEEN_QUBIT
 
@@ -580,6 +580,17 @@ def test_pinned_cli_stdout(capsys):
 
 
 REPRODUCE_THRESHOLDS_STDOUT_SHA256 = "be64f5bb0ff6b21996dccb08c85204d74e4e9c05b6639beb32eae4d1f78f0b3e"
+
+
+def test_export_symbolic_maps_script_writes_canonical_json(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "export_symbolic_maps.py"
+    done = _run_in_subprocess([sys.executable, str(script), str(tmp_path)])
+    assert done.returncode == 0, done.stderr
+    names = concatcode.builtin_names()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{n}.map.json" for n in names)
+    for name in names:
+        obj = concatcode.diagonal_map(concatcode.get_code(name)).to_json_obj()
+        assert (tmp_path / f"{name}.map.json").read_text() == canonical_json(obj) + "\n"
 
 
 def test_reproduce_thresholds_script_stdout_pinned():

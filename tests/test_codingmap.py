@@ -49,6 +49,7 @@ from concatcode import (
     random_cptp,
     random_pauli_channel,
 )
+from concatcode.cli import canonical_json
 from concatcode.codingmap import (
     GRID_POINTS,
     RANDOM_DIRECTIONS,
@@ -56,7 +57,6 @@ from concatcode.codingmap import (
     _expansion,
     _grid,
     _packed_reduce,
-    _terms,
     compiled_map,
     trace_preserving_map,
 )
@@ -148,7 +148,7 @@ def test_degree_bound():
 
 def test_depolarizing_line_five_qubit():
     poly = diagonal_map(get_code("five-qubit"))
-    line = poly.depolarizing_line("X")
+    line = poly.restrict("X", ("t", "t", "t"))
     assert line == (F(0), F(0), F(0), F(5, 2), F(0), F(-3, 2))
 
 
@@ -160,11 +160,39 @@ def test_line_polynomials_drop_top_degree_terms_that_cancel():
         "Y": (Monomial(1, 1, 0, F(1)), Monomial(1, 0, 1, F(-1))),
         "Z": (Monomial(0, 0, 1, F(1)),),
     })
-    at_one = {"y": F(1), "z": F(1)}
-    assert poly.depolarizing_line("X") == (F(0), F(1))
-    assert poly.restricted_univariate("X", "x", fixed=at_one) == (F(0), F(1))
-    assert poly.depolarizing_line("Y") == (F(0),)
-    assert poly.restricted_univariate("Y", "x", fixed=at_one) == (F(0),)
+    assert poly.restrict("X", ("t", "t", "t")) == (F(0), F(1))
+    assert poly.restrict("X", ("t", 1, 1)) == (F(0), F(1))
+    assert poly.restrict("Y", ("t", "t", "t")) == (F(0),)
+    assert poly.restrict("Y", ("t", 1, 1)) == (F(0),)
+
+
+# the depolarizing line, the dephasing ray's X check and Z line, the Z line
+# of criterion 3, X alone, and a line with two exact values
+RESTRICT_POINTS = [
+    ("t", "t", "t"),
+    (1, None, None),
+    (1, None, "t"),
+    (None, None, "t"),
+    ("t", None, None),
+    (F(-1, 2), "t", F(3, 4)),
+]
+
+
+@pytest.mark.parametrize("name", sorted(builtin_names()) + ["thirteen-qubit"])
+def test_restrict_is_the_component_on_the_line(name):
+    code = parse_code_spec(THIRTEEN_QUBIT) if name == "thirteen-qubit" else get_code(name)
+    poly = diagonal_map(code)
+    for sigma, point in itertools.product("XYZ", RESTRICT_POINTS):
+        line = poly.restrict(sigma, point)
+        absent = [v for v, value in enumerate(point) if value is None]
+        assert (line is None) == any(m[v] for m in poly.components[sigma] for v in absent)
+        if line is None:
+            continue
+        assert len(line) == 1 or line[-1] != 0
+        for t in (F(1, 3), F(-5, 7), F(2)):
+            # no monomial holds an absent variable, so any value stands in for it
+            at = [t if value == "t" else F(7, 3) if value is None else F(value) for value in point]
+            assert sum(c * t**d for d, c in enumerate(line)) == evaluate(poly, sigma, *at)
 
 
 def test_apply_diagonal_examples():
@@ -221,6 +249,14 @@ def test_general_map_identity_is_identity():
     for name in builtin_names():
         out = general_map(get_code(name), StokesChannel.identity())
         np.testing.assert_allclose(out.matrix, np.eye(4), atol=1e-12)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_general_map_takes_a_diagonal_channel(name):
+    code = get_code(name)
+    for channel in (depolarizing(0.1), DiagonalChannel(0.9, -0.3, 0.5)):
+        want = general_map(code, channel.to_stokes()).matrix
+        assert general_map(code, channel).matrix.tobytes() == want.tobytes()
 
 
 def test_general_map_exact_diagonal_reduction():
@@ -496,18 +532,6 @@ def test_code_independent_arrays_are_read_only(five_qubit):
     assert not any(array.flags.writeable for array in arrays)
 
 
-def test_per_code_terms_are_the_float_terms_built_once(shor):
-    coeffs, ends, exps, degrees, sums = _terms(shor)
-    terms = diagonal_map(shor).float_terms
-    assert [c.tolist() for c in coeffs] == [[t[0] for t in component] for component in terms]
-    assert ends.tolist() == list(itertools.accumulate(map(len, terms)))
-    assert exps.tolist() == [list(t[1:]) for component in terms for t in component]
-    assert [d.tolist() for d in degrees] == [sorted(set(column)) for column in zip(*exps.tolist())]
-    assert sums.tolist() == [math.fsum(map(abs, c.tolist())) + 1.0 for c in coeffs]
-    assert not any(array.flags.writeable for array in (*coeffs, ends, exps, *degrees, sums))
-    assert _terms(shor) is _terms(shor)
-
-
 def _expansion_parts(code):
     """Per component, {(i, j, l): Fraction} of `_expansion`."""
     ijl = _grid(0, code.n)[3]
@@ -643,6 +667,19 @@ TRACE_PRESERVING_MAP_SHA256 = {
     "shor": "a5de3e92dc6964a8d8034e52cf111c35474c297d92af83b3f56e1cff1074d75f",
     "steane": "f015e2c2fa793ab4af7903930aca58f689a5a33661a7208e7cd79dc821bf8d4b",
 }
+
+
+# sha256 of the canonical JSON of the 13-qubit code's diagonal polynomials;
+# they matched the 4^13-error Pauli enumeration of bench/reference.py at 16
+# points, within 1.1e-14
+THIRTEEN_QUBIT_MAP_SHA256 = "4dd098d67677137bb1ab18d1e4ffc60449c71ddb844ca84445fec56b2cd72ca1"
+
+
+def test_thirteen_qubit_polynomials_pinned():
+    poly = diagonal_map(parse_code_spec(THIRTEEN_QUBIT))
+    assert [len(poly.components[s]) for s in "XYZ"] == [47, 47, 47]
+    text = canonical_json(poly.to_json_obj())
+    assert hashlib.sha256(text.encode()).hexdigest() == THIRTEEN_QUBIT_MAP_SHA256
 
 
 def digest(compiled) -> str:

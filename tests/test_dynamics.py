@@ -37,8 +37,9 @@ from concatcode import (
     threshold,
 )
 from concatcode.channel import deficit_distance
+from concatcode.codingmap import _expansion, _grid
 from concatcode.dynamics import _diagonal_orbit
-from conftest import spec_text
+from conftest import THIRTEEN_QUBIT, spec_text
 
 SQRT_2_3 = math.sqrt(2.0 / 3.0)
 
@@ -254,6 +255,22 @@ def test_superexponential_tail_doubles_log_error(five_qubit):
     assert gains and all(abs(g - math.log(2)) < 0.05 for g in gains)
 
 
+def test_thirteen_qubit_tail_is_cubic():
+    # at distance 5 the expansion about the identity starts at degree 3, so
+    # dist' ~ c dist^3 and log(-log(sqrt(c) dist)) gains log 3 per level
+    code = parse_code_spec(THIRTEEN_QUBIT)
+    expansion, degree = _expansion(code), _grid(0, code.n)[3].sum(axis=0)
+    assert not expansion[:, (degree == 1) | (degree == 2)].any()
+    # the eps^3 coefficients of X, Y, Z at (1 - eps)(1, 1, 1)
+    cubic = [-Fraction(int(v), 1 << code.m) for v in expansion[:, degree == 3].sum(axis=1)]
+    assert cubic == [Fraction(-2313, 32), Fraction(-1185, 16), Fraction(-2303, 32)]
+    dists = [level.distance for level in iterate(code, depolarizing(0.05)).levels]
+    assert [round(b / a**3, 1) for a, b in zip(dists, dists[1:])] == [59.5, 69.0, 69.8]
+    series = [math.log(-math.log(math.sqrt(70) * d)) for d in dists[1:]]
+    gains = [b - a for a, b in zip(series, series[1:])]
+    assert gains and all(abs(g - math.log(3)) < 0.002 for g in gains)
+
+
 # -- fixed points -------------------------------------------------------------------
 
 
@@ -266,7 +283,7 @@ def test_five_qubit_line_fixed_points():
 
 def test_shor_z_line_fixed_points():
     poly = diagonal_map(get_code("shor"))
-    coeffs = [float(c) for c in poly.restricted_univariate("Z", "z", fixed={})]
+    coeffs = [float(c) for c in poly.restrict("Z", (None, None, "t"))]
     scan = fixed_points_1d(coeffs, interval=(0.0, 1.0))
     roots_below_one = [r for r in scan.roots if r < 1.0 - 1e-9]
     top = max(roots_below_one)
@@ -469,6 +486,9 @@ def test_full_stokes_jacobian_hook(bitflip3):
     reduced = jacobian_fd(bitflip3, DiagonalChannel.identity())
     embedded = j[np.ix_([5, 10, 15], [5, 10, 15])]
     np.testing.assert_allclose(embedded, reduced, atol=1e-6)
+    at = depolarizing(0.1)
+    want = jacobian_fd_full(bitflip3, at.to_stokes())
+    assert jacobian_fd_full(bitflip3, at).tobytes() == want.tobytes()
 
 
 # -- the error recursion ------------------------------------------------------------
