@@ -317,35 +317,37 @@ class StabilizerCode:
 def auto_recovery(generators: Sequence[PauliString], n: int) -> list[PauliString]:
     """One minimum-weight n-qubit representative per syndrome, ties broken by the
     lexicographic letter order I < X < Y < Z position by position; phases +1.
+
+    A dynamic programme over the 2^m syndromes, from qubit n-1 down to 0: each
+    syndrome keeps its least-weight word on qubits q..n-1 that comes first in
+    that order, the first letter at q to reach the least weight followed by
+    the kept word of the syndrome that letter leaves.  Its 4n vector
+    operations on 2^m arrays cost n 2^m, the size of the output.
     """
     gens = list(generators)
     bits = 1 << np.arange(n)
+    sx, sz = syndromes(gens, bits, 0), syndromes(gens, 0, bits)
     # the syndromes of the single-qubit X and Z strings span the reachable ones
     basis: list[int] = []
-    for s in np.concatenate([syndromes(gens, bits, 0), syndromes(gens, 0, bits)]).tolist():
+    for s in np.concatenate([sx, sz]).tolist():
         for b in basis:  # each b has the leading bits of those before it cleared
             s = min(s, s ^ b)
         if s:
             basis.append(s)
     if len(basis) < len(gens):
         raise InvalidCodeError("some syndromes are unreachable; generators are degenerate")
-    found: dict[int, PauliString] = {}
-    for weight in range(n + 1):
-        # every word of this weight, letters I, X, Y, Z = 0, 1, 2, 3, in word order
-        positions = np.array(list(itertools.combinations(range(n), weight)), dtype=np.intp)
-        letters = np.array(list(itertools.product((1, 2, 3), repeat=weight)), dtype=np.int8)
-        words = np.zeros((len(positions), len(letters), n), dtype=np.int8)
-        np.put_along_axis(words, positions[:, None], letters, axis=2)
-        words = words.reshape(-1, n)
-        words = words[np.lexsort(words.T[::-1])]  # qubit 0 is the primary key
-        x, z = ((words == 1) | (words == 2)) @ bits, (words >= 2) @ bits
-        values, first = np.unique(syndromes(gens, x, z), return_index=True)
-        for s, i in zip(values.tolist(), first.tolist()):
-            if s not in found:
-                found[s] = PauliString._raw(n, int(x[i]), int(z[i]), int(x[i] & z[i]).bit_count())
-        if len(found) == 1 << len(gens):  # by weight n at the latest, at full rank
-            break
-    return [found[s] for s in range(len(found))]
+    flips = np.stack([0 * sx, sx, sx ^ sz, sz])  # per letter I, X, Y, Z and qubit: its syndrome
+    states = np.arange(1 << len(gens))
+    weight = np.where(states == 0, 0, n + 1)  # the empty word reaches syndrome 0 alone
+    x, z = 0 * states, 0 * states
+    for q in reversed(range(n)):
+        rest = states ^ flips[:, q, None]  # per letter at q, the syndrome left to qubits q+1..
+        costs = weight[rest] + np.array([[0], [1], [1], [1]])
+        letter = costs.argmin(axis=0)  # the first least, so I < X < Y < Z
+        rest, weight = rest[letter, states], costs[letter, states]
+        x = x[rest] | ((letter == 1) | (letter == 2)) << q
+        z = z[rest] | (letter >= 2) << q
+    return [PauliString._raw(n, a, b, (a & b).bit_count()) for a, b in zip(x.tolist(), z.tolist())]
 
 
 # -- code spec text format ---------------------------------------------------
@@ -356,16 +358,14 @@ def parse_code_spec(text: str, name: str | None = None) -> StabilizerCode:
 
     Recognised items, one per line ('#' starts a comment):
 
-        n <int>
+        n <int>                      (once)
         generator <pauli-string>     (m = n-1 times)
-        logicalX <pauli-string>
-        logicalZ <pauli-string>
+        logicalX <pauli-string>      (once)
+        logicalZ <pauli-string>      (once)
         recovery <pauli-string>      (2^m times)  |  recovery auto
     """
-    n: int | None = None
+    once: dict[str, int | PauliString] = {}  # n, logicalX and logicalZ
     gens: list[PauliString] = []
-    lx: PauliString | None = None
-    lz: PauliString | None = None
     recs: list[PauliString] = []
     auto = False
     last = 0
@@ -380,25 +380,24 @@ def parse_code_spec(text: str, name: str | None = None) -> StabilizerCode:
             raise CodeSpecError(lineno, f"expected exactly one value after {key!r}")
         value = args[0]
         try:
-            if key == "n":
-                n = int(value)
-            elif key == "generator":
+            if key == "generator":
                 gens.append(PauliString.parse(value))
-            elif key == "logicalX":
-                lx = PauliString.parse(value)
-            elif key == "logicalZ":
-                lz = PauliString.parse(value)
             elif key == "recovery":
                 if value == "auto":
                     auto = True
                 else:
                     recs.append(PauliString.parse(value))
+            elif key in ("n", "logicalX", "logicalZ"):
+                if key in once:
+                    raise CodeSpecError(lineno, f"repeated {key!r} line")
+                once[key] = int(value) if key == "n" else PauliString.parse(value)
             else:
                 raise CodeSpecError(lineno, f"unknown item {key!r}")
         except CodeSpecError:
             raise
         except ValueError as exc:
             raise CodeSpecError(lineno, str(exc)) from None
+    n, lx, lz = once.get("n"), once.get("logicalX"), once.get("logicalZ")
     if n is None:
         raise CodeSpecError(last + 1, "missing 'n' line")
     if lx is None or lz is None:

@@ -414,6 +414,11 @@ def test_jacobian_leaving_the_float_range_exits_two(capsys, argv):
          "n 3\ngenerator ZZI\ngenerator IZZ\nlogicalX XXX\nlogicalZ ZZZ\n"
          "recovery auto\nrecovery III\n",
          "line 8: both explicit recovery lines and 'recovery auto'"),
+        (["codes", "validate", "{}"], "n 3\ngenerator ZZI\nn 3\n", "line 3: repeated 'n' line"),
+        (["codes", "validate", "{}"],
+         "n 3\ngenerator ZZI\ngenerator IZZ\nlogicalX YYY\nlogicalX XXX\nlogicalZ ZZZ\n"
+         "recovery auto\n",
+         "line 5: repeated 'logicalX' line"),
     ],
 )
 def test_bad_input_exits_two_with_one_line(tmp_path, capsys, monkeypatch, argv, text, err):

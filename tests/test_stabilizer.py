@@ -25,7 +25,14 @@ from concatcode.codingmap import c_constants, diagonal_map, general_map, general
 from concatcode.oracle import extract_stokes
 from concatcode.pauli import eta
 from concatcode.stabilizer import CodeSpecError, syndromes
-from conftest import DEFECT_SPECS, THIRTEEN_QUBIT, spec_text, syndrome
+from conftest import (
+    DEFECT_SPECS,
+    FIVE_QUBIT_PADDED,
+    THIRTEEN_QUBIT,
+    Y_REPETITION4,
+    spec_text,
+    syndrome,
+)
 
 P = PauliString.parse
 
@@ -598,6 +605,8 @@ def test_auto_recovery_bitflip3(bitflip3):
 
 def test_auto_recovery_trivial_code():
     assert auto_recovery([], n=1) == [PauliString.identity(1)]
+    # past the int64 masks' 63 qubits: every letter is I, whose bit shifted by q >= 64 is 0
+    assert auto_recovery([], n=70) == [PauliString.identity(70)]
 
 
 def test_auto_recovery_five_qubit_matches_single_qubit_corrections(five_qubit):
@@ -608,7 +617,7 @@ def test_auto_recovery_five_qubit_matches_single_qubit_corrections(five_qubit):
 
 @pytest.mark.parametrize("n", [3, 40])
 def test_auto_recovery_unreachable_syndromes(n):
-    # rejected from the syndromes' rank, before any of the 4^n words is formed
+    # rejected from the single-qubit syndromes' GF(2) rank, before the 2^m tables exist
     twice = P("ZZ" + "I" * (n - 2))
     with pytest.raises(InvalidCodeError, match="some syndromes are unreachable"):
         auto_recovery([twice, twice], n=n)
@@ -647,6 +656,81 @@ def test_auto_recovery_leaders_have_minimal_weight(name):
     shuffled = parse_code_spec(spec_text(code, rng.permutation(code.n), gens, "auto"))
     for generators in (code.generators, shuffled.generators):
         assert auto_recovery(generators, code.n) == _leaders_by_eta(generators, code.n, 3)
+
+
+def _auto_recovery_by_enumeration(generators, n):
+    """The enumeration `auto_recovery` used before its dynamic programme: every
+    word of each weight, sorted with qubit 0 as the primary key, until every
+    syndrome has its first word.  `C(n, w) 3^w` words at the largest weight w."""
+    gens = list(generators)
+    bits = 1 << np.arange(n)
+    # the syndromes of the single-qubit X and Z strings span the reachable ones
+    basis: list[int] = []
+    for s in np.concatenate([syndromes(gens, bits, 0), syndromes(gens, 0, bits)]).tolist():
+        for b in basis:  # each b has the leading bits of those before it cleared
+            s = min(s, s ^ b)
+        if s:
+            basis.append(s)
+    if len(basis) < len(gens):
+        raise InvalidCodeError("some syndromes are unreachable; generators are degenerate")
+    found: dict[int, PauliString] = {}
+    for weight in range(n + 1):
+        # every word of this weight, letters I, X, Y, Z = 0, 1, 2, 3, in word order
+        positions = np.array(list(itertools.combinations(range(n), weight)), dtype=np.intp)
+        letters = np.array(list(itertools.product((1, 2, 3), repeat=weight)), dtype=np.int8)
+        words = np.zeros((len(positions), len(letters), n), dtype=np.int8)
+        np.put_along_axis(words, positions[:, None], letters, axis=2)
+        words = words.reshape(-1, n)
+        words = words[np.lexsort(words.T[::-1])]  # qubit 0 is the primary key
+        x, z = ((words == 1) | (words == 2)) @ bits, (words >= 2) @ bits
+        values, first = np.unique(syndromes(gens, x, z), return_index=True)
+        for s, i in zip(values.tolist(), first.tolist()):
+            if s not in found:
+                found[s] = PauliString._raw(n, int(x[i]), int(z[i]), int(x[i] & z[i]).bit_count())
+        if len(found) == 1 << len(gens):  # by weight n at the latest, at full rank
+            break
+    return [found[s] for s in range(len(found))]
+
+
+def _zz_chain(n) -> str:
+    """Spec text of the n-qubit bit-flip repetition code: covering radius n // 2."""
+    gens = "".join(f"generator {'I' * i}ZZ{'I' * (n - i - 2)}\n" for i in range(n - 1))
+    return f"n {n}\n{gens}logicalX {'X' * n}\nlogicalZ Z{'I' * (n - 1)}\nrecovery auto\n"
+
+
+def _enumeration_cases():
+    rng = np.random.default_rng(11)
+    for name in builtin_names():
+        code = get_code(name)
+        yield pytest.param(code.generators, code.n, id=name)
+        for t in range(2):  # qubit-permuted specs with shuffled generators
+            gens = [code.generators[i] for i in rng.permutation(code.m)]
+            spec = spec_text(code, rng.permutation(code.n), gens, "auto")
+            yield pytest.param(parse_code_spec(spec).generators, code.n, id=f"{name}-permuted{t}")
+    specs = {
+        "thirteen-qubit": THIRTEEN_QUBIT,
+        "y-repetition4": Y_REPETITION4,
+        "five-qubit-padded": FIVE_QUBIT_PADDED,
+        **{f"zz-chain{n}": _zz_chain(n) for n in range(2, 11)},
+    }
+    for label, text in specs.items():
+        code = parse_code_spec(text)
+        yield pytest.param(code.generators, code.n, id=label)
+
+
+@pytest.mark.parametrize(("generators", "n"), _enumeration_cases())
+def test_auto_recovery_matches_the_enumeration(generators, n):
+    # PauliString equality compares the phase exponents too
+    assert auto_recovery(generators, n) == _auto_recovery_by_enumeration(generators, n)
+
+
+def test_auto_recovery_sixteen_qubit_chain():
+    # past the enumeration: C(16, 8) 3^8 words of weight 8 alone
+    code = parse_code_spec(_zz_chain(16))
+    assert code.validate().passed
+    assert sorted(code.recovery_syndromes().tolist()) == list(range(1 << 15))
+    assert max((r.x_mask | r.z_mask).bit_count() for r in code.recovery) == 8
+    assert code.distance_and_w() == (1, 2)
 
 
 def test_permuted_steane_matches_eta_reference(steane):
