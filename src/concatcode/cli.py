@@ -127,10 +127,9 @@ def _resolve_code(token: str) -> StabilizerCode:
     raise ValueError(f"{token!r} is neither a built-in code nor a readable file")
 
 
-def _orbit_record_json(code_name: str, literal: str, record) -> dict:
+def _orbit_record_json(literal: str, record) -> dict:
     header, rows = orbit_rows(record)
     return {
-        "code": code_name,
         "channel": literal,
         "converged": record.converged,
         "iterations_used": record.iterations_used,
@@ -140,35 +139,30 @@ def _orbit_record_json(code_name: str, literal: str, record) -> dict:
 
 
 # -- commands --------------------------------------------------------------------
+# Each takes the parsed arguments and the resolved code (None for `codes list`)
+# and returns its result, a JSON payload dict or CSV text, and its exit status;
+# `main` labels the payload with the code, serialises it and writes it.
 
 
-def _cmd_codes(args) -> int:
-    if args.action == "list":
+def _cmd_codes(args, code) -> tuple[dict, int]:
+    if code is None:
         entries = []
         for name in builtin_names():
-            code = get_code(name)
-            d, w = code.distance_and_w()
-            entries.append({"name": name, "n": code.n, "m": code.m, "d": d, "w": w})
-        _write(canonical_json({"codes": entries}), args.output)
-        return 0
-    code = _resolve_code(args.code)
+            builtin = get_code(name)
+            d, w = builtin.distance_and_w()
+            entries.append({"name": name, "n": builtin.n, "m": builtin.m, "d": d, "w": w})
+        return {"codes": entries}, 0
     report = code.validate()
-    payload: dict = {
-        "code": code.name or args.code,
-        "passed": report.passed,
-        "violations": list(report.violations),
-    }
+    payload: dict = {"passed": report.passed, "violations": list(report.violations)}
     if report.passed:
         payload["d"], payload["w"] = code.distance_and_w()
-    _write(canonical_json(payload), args.output)
-    return 0 if report.passed else 1
+    return payload, 0 if report.passed else 1
 
 
-def _cmd_map(args) -> int:
-    code = _resolve_code(args.code)
-    payload: dict = {"code": code.name or args.code}
+def _cmd_map(args, code) -> tuple[dict | str, int]:
     if args.symbolic and args.format == "csv":
         raise ValueError("CSV output cannot carry the symbolic polynomial")
+    payload: dict = {}
     channel = None if args.channel is None else parse_channel_literal(args.channel)
     if args.symbolic:
         if channel is not None and not isinstance(channel, DiagonalChannel):
@@ -180,14 +174,11 @@ def _cmd_map(args) -> int:
         with np.errstate(over="ignore", invalid="ignore"):
             record = iterate(code, channel, k_max=args.levels, tol=args.tol)
         if args.format == "csv":
-            header, rows = orbit_rows(record)
-            _write(to_csv(header, rows), args.output)
-            return 0
-        payload.update(_orbit_record_json(payload["code"], args.channel, record))
+            return to_csv(*orbit_rows(record)), 0
+        payload.update(_orbit_record_json(args.channel, record))
     if not args.symbolic and args.channel is None:
         raise ValueError("map requires --symbolic and/or --channel")
-    _write(canonical_json(payload), args.output)
-    return 0
+    return payload, 0
 
 
 def _parse_ray(text: str) -> RaySpec:
@@ -203,13 +194,11 @@ def _parse_ray(text: str) -> RaySpec:
     raise ValueError(f"unknown ray {text!r}; use depol, deph or ray:<dx>,<dy>,<dz>")
 
 
-def _cmd_threshold(args) -> int:
-    code = _resolve_code(args.code)
+def _cmd_threshold(args, code) -> tuple[dict, int]:
     ray = _parse_ray(args.ray)
     value = threshold(code, ray, tol_eps=args.tol, tol_conv=args.tol_conv, k_max=args.k_max)
     cross = fixed_point_cross_check(code, ray)
-    payload = {
-        "code": code.name or args.code,
+    return {
         "ray": {"family": ray.family, "direction": list(ray.direction)},
         "threshold": value,
         "tol": args.tol,
@@ -217,13 +206,10 @@ def _cmd_threshold(args) -> int:
         "k_max": args.k_max,
         "fixed_points": cross["fixed_points"] if cross else None,
         "threshold_from_fixed_point": cross["threshold_from_fixed_point"] if cross else None,
-    }
-    _write(canonical_json(payload), args.output)
-    return 0
+    }, 0
 
 
-def _cmd_jacobian(args) -> int:
-    code = _resolve_code(args.code)
+def _cmd_jacobian(args, code) -> tuple[dict, int]:
     channel = parse_channel_literal(args.at)
     if not (args.full or isinstance(channel, DiagonalChannel)):
         raise ValueError("the 3x3 Jacobian needs a diagonal channel; use --full")
@@ -237,47 +223,36 @@ def _cmd_jacobian(args) -> int:
         matrix = None
     if matrix is None or not np.isfinite(matrix).all():
         raise ValueError(f"the Jacobian at {args.at} with step {args.h} leaves the float range")
-    payload = {
-        "code": code.name or args.code,
+    return {
         "at": args.at,
         "h": args.h,
         "full": bool(args.full),
         "jacobian": [[float(v) for v in row] for row in matrix],
-    }
-    _write(canonical_json(payload), args.output)
-    return 0
+    }, 0
 
 
-def _cmd_oracle(args) -> int:
-    code = _resolve_code(args.code)
+def _cmd_oracle(args, code) -> tuple[dict, int]:
     deviation = max_oracle_deviation(code, trials=args.trials, seed=args.seed)
     passed = deviation <= ORACLE_TOLERANCE
-    payload = {
-        "code": code.name or args.code,
+    return {
         "trials": args.trials,
         "seed": args.seed,
         "max_deviation": deviation,
         "tolerance": ORACLE_TOLERANCE,
         "passed": passed,
-    }
-    _write(canonical_json(payload), args.output)
-    return 0 if passed else 1
+    }, 0 if passed else 1
 
 
-def _cmd_bound(args) -> int:
-    code = _resolve_code(args.code)
+def _cmd_bound(args, code) -> tuple[dict, int]:
     bound = general_bound_check(code, seed=args.seed)
-    payload = {
-        "code": code.name or args.code,
+    return {
         "c_n": bound.c_n,
         "c_m": bound.c_m,
         "c_m_source": bound.c_m_source,
         "c_m_grid": bound.c_m_grid,
         "bound": bound.value,
         "bounds_guaranteed": bound.bounds_guaranteed,
-    }
-    _write(canonical_json(payload), args.output)
-    return 0
+    }, 0
 
 
 # -- parser ----------------------------------------------------------------------
@@ -313,13 +288,9 @@ def _build_parser(default_seed: int) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--output", default=None, help="write to this path instead of stdout")
-
     p = sub.add_parser("codes", help="list built-in codes or validate a code spec")
     p.add_argument("action", choices=["list", "validate"])
     p.add_argument("code", nargs="?", help="built-in name or spec file (validate only)")
-    add_common(p)
 
     p = sub.add_parser("map", help="symbolic diagonal polynomials and/or iterated channels")
     p.add_argument("code")
@@ -328,7 +299,6 @@ def _build_parser(default_seed: int) -> argparse.ArgumentParser:
     p.add_argument("--levels", type=_LEVELS, default=1, help="number of coding levels")
     p.add_argument("--tol", type=_STOP_TOL, default=0.0, help="stop early below this distance")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    add_common(p)
 
     p = sub.add_parser("orbit", help="iterate a channel and export the orbit")
     p.add_argument("code")
@@ -337,7 +307,6 @@ def _build_parser(default_seed: int) -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_STOP_TOL, default=1e-9)
     p.add_argument("--format", choices=["json", "csv"], default="csv")
     p.set_defaults(symbolic=False)
-    add_common(p)
 
     p = sub.add_parser("threshold", help="largest converging noise strength along a ray")
     p.add_argument("code")
@@ -345,27 +314,25 @@ def _build_parser(default_seed: int) -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_POSITIVE, default=1e-6)
     p.add_argument("--tol-conv", dest="tol_conv", type=_POSITIVE, default=1e-9)
     p.add_argument("--k-max", dest="k_max", type=_AT_LEAST_ONE, default=60)
-    add_common(p)
 
     p = sub.add_parser("jacobian", help="finite-difference Jacobian at a channel")
     p.add_argument("code")
     p.add_argument("--at", default="diag:1,1,1", help="channel literal")
     p.add_argument("--h", type=_POSITIVE, default=1e-5)
     p.add_argument("--full", action="store_true", help="16x16 Jacobian on Stokes space")
-    add_common(p)
 
     p = sub.add_parser("oracle", help="dense-simulation cross-check of the algebraic map")
     p.add_argument("action", choices=["check"])
     p.add_argument("code")
     p.add_argument("--trials", type=_AT_LEAST_ONE, default=20)
     p.add_argument("--seed", type=int, default=default_seed)
-    add_common(p)
 
     p = sub.add_parser("bound", help="arbitrary-channel convergence bound (c_N + c_M)^-1")
     p.add_argument("code")
     p.add_argument("--seed", type=int, default=default_seed)
-    add_common(p)
 
+    for p in sub.choices.values():
+        p.add_argument("--output", default=None, help="write to this path instead of stdout")
     return parser
 
 
@@ -388,10 +355,18 @@ def main(argv=None) -> int:
         return 2
     parser = _build_parser(default_seed)
     args = parser.parse_args(argv)
-    if args.command == "codes" and args.action == "validate" and args.code is None:
-        parser.error("codes validate needs a code argument")
+    if args.command == "codes" and (args.action == "list") != (args.code is None):
+        parser.error("codes list takes no code argument" if args.code is not None
+                     else "codes validate needs a code argument")
     try:
-        return _HANDLERS[args.command](args)
+        code = None if args.code is None else _resolve_code(args.code)
+        result, status = _HANDLERS[args.command](args, code)
+        if isinstance(result, dict):
+            if code is not None:
+                result["code"] = code.name or args.code
+            result = canonical_json(result)
+        _write(result, args.output)
+        return status
     except (CapabilityError, ValueError, OSError) as exc:  # spec errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -354,7 +354,8 @@ def fixed_point_cross_check(code: StabilizerCode, ray: RaySpec) -> dict | None:
     is identically 1 at x = 1 and the Z component is autonomous in z.
     Returns the line variable, the fixed points in [0, 1] of the
     univariate polynomial and the implied threshold, or None when no
-    reduction applies.
+    reduction applies, as on an identity line t -> t, which every point
+    fixes.
     """
     poly = diagonal_map(code)
     coeffs = None
@@ -364,7 +365,7 @@ def fixed_point_cross_check(code: StabilizerCode, ray: RaySpec) -> dict | None:
             coeffs, variable = lines[0], "t"
     elif ray.family == "dephasing" and poly.restrict("X", (1, None, None)) == (1,):
         coeffs, variable = poly.restrict("Z", (1, None, "t")), "z"
-    if coeffs is None:
+    if coeffs is None or coeffs == (0, 1):
         return None
     scan = fixed_points_1d([float(v) for v in coeffs], interval=(0.0, 1.0))
     below_one = [r for r in scan.roots if r < 1.0 - 1e-9]

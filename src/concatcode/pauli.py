@@ -13,6 +13,7 @@ exact units 1, 1j, -1, -1j.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 
 PHASES = (1, 1j, -1, -1j)
 LETTERS = "IXYZ"
@@ -39,6 +40,7 @@ class PauliDimensionError(ValueError):
     """Two strings over different qubit counts were combined."""
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class PauliString:
     """An element phase * (s_1 (x) ... (x) s_n) of the n-qubit Pauli group.
 
@@ -48,7 +50,12 @@ class PauliString:
     same grammar.
     """
 
-    __slots__ = ("n", "_x", "_z", "_k")
+    # not `slots=True`, whose rebuilt class breaks the frozen __setattr__'s super()
+    __slots__ = ("n", "x_mask", "z_mask", "_k")
+    n: int
+    x_mask: int
+    z_mask: int
+    _k: int
 
     def __init__(self, letters: str, phase: complex = 1) -> None:
         if not letters or _NOT_A_LETTER.search(letters):
@@ -63,9 +70,6 @@ class PauliString:
         _set_z(self, z)
         # internal exponent k refers to the i^k * X^x Z^z normal form
         _set_k(self, (exponent + (x & z).bit_count()) % 4)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PauliString is immutable")
 
     @classmethod
     def _raw(cls, n: int, x: int, z: int, k: int) -> "PauliString":
@@ -107,25 +111,17 @@ class PauliString:
     @property
     def letters(self) -> str:
         return "".join(
-            _LETTER_BY_BITS[(self._x >> j) & 1, (self._z >> j) & 1] for j in range(self.n)
+            _LETTER_BY_BITS[(self.x_mask >> j) & 1, (self.z_mask >> j) & 1] for j in range(self.n)
         )
 
     @property
     def phase_exponent(self) -> int:
         """Exponent p of the displayed prefactor i^p, p in {0, 1, 2, 3}."""
-        return (self._k - ((self._x & self._z).bit_count())) % 4
+        return (self._k - ((self.x_mask & self.z_mask).bit_count())) % 4
 
     @property
     def phase(self) -> complex:
         return PHASES[self.phase_exponent]
-
-    @property
-    def x_mask(self) -> int:
-        return self._x
-
-    @property
-    def z_mask(self) -> int:
-        return self._z
 
     def __str__(self) -> str:
         return _PREFIX_BY_EXPONENT[self.phase_exponent] + self.letters
@@ -141,39 +137,27 @@ class PauliString:
         if other.n != self.n:
             raise PauliDimensionError(f"length mismatch: {self.n} vs {other.n}")
         # Z^z X^x reordering contributes (-1) per overlapping pair.
-        k = self._k + other._k + 2 * ((self._z & other._x).bit_count())
-        return PauliString._raw(self.n, self._x ^ other._x, self._z ^ other._z, k)
+        k = self._k + other._k + 2 * ((self.z_mask & other.x_mask).bit_count())
+        return PauliString._raw(self.n, self.x_mask ^ other.x_mask, self.z_mask ^ other.z_mask, k)
 
     def __neg__(self) -> "PauliString":
-        return PauliString._raw(self.n, self._x, self._z, self._k + 2)
+        return PauliString._raw(self.n, self.x_mask, self.z_mask, self._k + 2)
 
     def times_i(self) -> "PauliString":
         """The same string with phase multiplied by i."""
-        return PauliString._raw(self.n, self._x, self._z, self._k + 1)
+        return PauliString._raw(self.n, self.x_mask, self.z_mask, self._k + 1)
 
     def strip_phase(self) -> "PauliString":
         """The same letters with phase reset to +1."""
-        return PauliString._raw(self.n, self._x, self._z, (self._x & self._z).bit_count())
+        x, z = self.x_mask, self.z_mask
+        return PauliString._raw(self.n, x, z, (x & z).bit_count())
 
     @property
     def is_hermitian(self) -> bool:
         return self.phase_exponent % 2 == 0
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PauliString):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self._x == other._x
-            and self._z == other._z
-            and self._k == other._k
-        )
 
-    def __hash__(self) -> int:
-        return hash((self.n, self._x, self._z, self._k))
-
-
-# the slot descriptors' setters, which bypass the immutability guard
+# the slot descriptors' setters, which bypass the frozen dataclass's guard
 _set_n, _set_x, _set_z, _set_k = (PauliString.__dict__[s].__set__ for s in PauliString.__slots__)
 
 
@@ -185,5 +169,5 @@ def eta(a: PauliString, b: PauliString) -> int:
     """
     if a.n != b.n:
         raise PauliDimensionError(f"length mismatch: {a.n} vs {b.n}")
-    parity = ((a._x & b._z).bit_count() ^ (a._z & b._x).bit_count()) & 1
+    parity = ((a.x_mask & b.z_mask).bit_count() ^ (a.z_mask & b.x_mask).bit_count()) & 1
     return -1 if parity else 1

@@ -15,7 +15,7 @@ import concatcode.cli
 import concatcode.dynamics
 from concatcode.cli import canonical_json, main
 from concatcode.stabilizer import parse_code_spec
-from conftest import DEFECT_SPECS, FIVE_QUBIT_PADDED, THIRTEEN_QUBIT
+from conftest import DEFECT_SPECS, FIVE_QUBIT_PADDED, THIRTEEN_QUBIT, spec_text
 
 SQRT_2_3 = math.sqrt(2.0 / 3.0)
 
@@ -105,6 +105,20 @@ def test_every_command_rejects_an_invalid_code(tmp_path, capsys, command, defect
     for args in DERIVING_INVOCATIONS[command]:
         argv = [command] + [str(spec) if a == "{}" else a for a in args]
         assert run(capsys, *argv) == (2, "", f"error: {violation}\n"), argv
+
+
+@pytest.mark.parametrize("command", sorted(concatcode.cli._HANDLERS))
+def test_json_output_names_its_code(tmp_path, capsys, command):
+    # the label is the built-in's name, or the spec file's path as given
+    spec = tmp_path / "bitflip.code"
+    spec.write_text(spec_text(concatcode.get_code("bitflip3")))
+    invocations = [["validate", "{}"]] if command == "codes" else DERIVING_INVOCATIONS[command]
+    for name in ("bitflip3", str(spec)):
+        for args in invocations:
+            argv = [command] + [name if a == "{}" else a for a in args]
+            if command == "orbit":  # CSV by default
+                argv += ["--format", "json"]
+            assert run_json(capsys, *argv)["code"] == name, argv
 
 
 @pytest.mark.parametrize("defect", sorted(DEFECT_SPECS))
@@ -313,6 +327,17 @@ def test_output_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv", [["bound", "five-qubit"], ["orbit", "five-qubit", "--channel", "depol:0.05"]]
+)
+def test_output_file_holds_the_stdout_bytes(tmp_path, capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    target = tmp_path / "report"
+    assert run(capsys, *argv, "--output", str(target)) == (0, "", "")
+    assert target.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["oracle", "check", "bitflip3", "--trials", "0"],
@@ -419,6 +444,7 @@ def test_jacobian_leaving_the_float_range_exits_two(capsys, argv):
          "n 3\ngenerator ZZI\ngenerator IZZ\nlogicalX YYY\nlogicalX XXX\nlogicalZ ZZZ\n"
          "recovery auto\n",
          "line 5: repeated 'logicalX' line"),
+        (["codes", "list", "five-qubit"], None, "codes list takes no code argument"),
     ],
 )
 def test_bad_input_exits_two_with_one_line(tmp_path, capsys, monkeypatch, argv, text, err):

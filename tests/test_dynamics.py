@@ -442,6 +442,24 @@ def test_cross_check_absent_for_five_qubit_dephasing(five_qubit):
     assert fixed_point_cross_check(five_qubit, RaySpec.dephasing_ray()) is None
 
 
+@pytest.mark.parametrize(
+    ("spec", "ray"),
+    [
+        ("n 1\nlogicalX X\nlogicalZ Z\nrecovery auto\n", RaySpec.depolarizing_ray()),
+        ("n 2\ngenerator ZZ\nlogicalX XX\nlogicalZ ZI\nrecovery auto\n",
+         RaySpec.dephasing_ray()),
+    ],
+    ids=["one-qubit-depol", "zz-deph"],
+)
+def test_cross_check_absent_on_an_identity_line(spec, ray):
+    # the line polynomial is exactly t: every point is fixed, so no threshold
+    # follows from the fixed points, while `threshold` itself reads 0
+    code = parse_code_spec(spec)
+    assert code.validate().passed
+    assert fixed_point_cross_check(code, ray) is None
+    assert threshold(code, ray) == 0.0
+
+
 # -- Jacobians ----------------------------------------------------------------------
 
 
